@@ -139,9 +139,10 @@ pub(crate) fn client_commit(tx: &mut Txn<'_>) -> TxResult<()> {
     faults::maybe_panic(&tx.stm.faults, faults::site::CLIENT_PUBLISH_DELAY);
     // Summary-map publish, strictly *after* the PENDING store: a server
     // that observes the set bit is guaranteed (SeqCst total order) to also
-    // observe REQ_PENDING, so it may clear the bit at pickup without ever
-    // losing a request. Only the server — or a withdrawal this client
-    // performs itself — clears the bit.
+    // observe the posted request. Only the party that moves the request
+    // out of PENDING — a server, or a withdrawal this client performs
+    // itself — clears the bit (the `registry` module docs give the
+    // invariant).
     tx.stm.registry.pending().set(tx.slot_idx);
     faults::maybe_panic(&tx.stm.faults, faults::site::TXN_COMMIT_PANIC);
 
@@ -237,7 +238,7 @@ pub(crate) fn remote_grant_token(tx: &mut Txn<'_>) -> bool {
         Some(_) => return false,
         None => {}
     }
-    if stm.shutdown.load(Ordering::SeqCst) || stm.degraded.load(Ordering::SeqCst) {
+    if stm.servers_stopped() {
         return false;
     }
     let slot = stm.registry.slot(me);
@@ -264,11 +265,7 @@ pub(crate) fn remote_grant_token(tx: &mut Txn<'_>) -> bool {
                 return took_token(false);
             }
             _ => {
-                if bk.is_yielding()
-                    && (stm.shutdown.load(Ordering::SeqCst)
-                        || stm.degraded.load(Ordering::SeqCst)
-                        || tx.deadline_expired())
-                {
+                if bk.is_yielding() && (stm.servers_stopped() || tx.deadline_expired()) {
                     return took_token(withdraw_request(stm, me) == Some(true));
                 }
                 bk.snooze();

@@ -21,7 +21,7 @@
 //! 16384-bit signatures share a set bit?" — asked of two storage flavours:
 //!
 //! * [`Bloom::intersects`] — **plain × plain**: both operands are
-//!   thread-private (the V1 server's batch signatures against a request
+//!   thread-private (the commit-server's batch signatures against a request
 //!   snapshot).
 //! * [`AtomicBloom::intersects_plain`] — **atomic-snapshot × plain**: the
 //!   left operand is a concurrently-written shared signature (a live
@@ -391,7 +391,7 @@ impl Bloom {
     }
 
     /// Merges every bit of `other` into `self` (set union) — used by the
-    /// V1 commit-server to build a batch's combined write signature.
+    /// commit-server to build a batch's combined write signature.
     #[inline]
     pub fn union_with(&mut self, other: &Bloom) {
         union_impl(self, other);
@@ -499,7 +499,7 @@ impl AtomicBloom {
     /// in the same pass over the words, reports whether that snapshot
     /// intersects `a` and whether it intersects `b`.
     ///
-    /// This is the V1 commit-server's admission primitive: one sweep both
+    /// This is the commit-server's batch-admission primitive: one sweep both
     /// *builds* the candidate's write-signature snapshot and answers the
     /// write-write (`∩ batch writes`) and write-read (`∩ batch reads`)
     /// independence tests that previously each re-walked the 256 words

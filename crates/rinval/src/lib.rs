@@ -229,6 +229,31 @@ impl AlgorithmKind {
         "tl2",
     ];
 
+    /// Every engine, in [`AlgorithmKind::NAMES`] order — the one engine
+    /// list the cross-engine test suites iterate. The parameterized kinds
+    /// carry small server counts (2 invalidation-servers, 2 steps ahead)
+    /// so a sweep stays fast on hosts with few cores; `NAMES[i].parse()`
+    /// gives the paper's defaults instead.
+    pub const fn all() -> [AlgorithmKind; 9] {
+        [
+            AlgorithmKind::CoarseLock,
+            AlgorithmKind::Tml,
+            AlgorithmKind::NOrec,
+            AlgorithmKind::InvalStm,
+            AlgorithmKind::RInvalV1,
+            AlgorithmKind::RInvalV2 { invalidators: 2 },
+            AlgorithmKind::RInvalV3 {
+                invalidators: 2,
+                steps_ahead: 2,
+            },
+            AlgorithmKind::RInvalMV {
+                invalidators: 2,
+                steps_ahead: 2,
+            },
+            AlgorithmKind::Tl2,
+        ]
+    }
+
     /// Short stable name used in benchmark output (matches the paper's
     /// legends where applicable).
     pub fn name(&self) -> &'static str {
@@ -529,6 +554,13 @@ impl StmInner {
         self.priority_ceiling.fetch_max(p, Ordering::SeqCst);
     }
 
+    /// Shut down or degraded: server loops exit, and no server will answer
+    /// a request posted from now on.
+    #[inline]
+    pub(crate) fn servers_stopped(&self) -> bool {
+        self.shutdown.load(Ordering::SeqCst) || self.degraded.load(Ordering::SeqCst)
+    }
+
     /// The slot currently holding the global irrevocable token, if any.
     #[inline]
     pub(crate) fn irrevocable_holder(&self) -> Option<usize> {
@@ -703,7 +735,13 @@ impl StmBuilder {
     /// tests drive server/recovery code on it directly.
     pub(crate) fn build_inner(self) -> Arc<StmInner> {
         let invalidators = self.algo.invalidators();
-        let ring_len = self.algo.steps_ahead() + 1;
+        // Only invalidation-servers read the commit ring; V1 invalidates
+        // inline and allocates none.
+        let ring_len = if invalidators == 0 {
+            0
+        } else {
+            self.algo.steps_ahead() + 1
+        };
         let faults = faults::FaultPlan::new();
         faults.arm_from_env();
         if let Some(seed) = self.fault_seed {
@@ -727,10 +765,8 @@ impl StmBuilder {
             inval_ts: (0..invalidators)
                 .map(|_| CachePadded::new(AtomicU64::new(0)))
                 .collect(),
-            commit_ring: (0..if self.algo.is_remote() { ring_len } else { 0 })
-                .map(|_| AtomicBloom::new())
-                .collect(),
-            commit_req: (0..if self.algo.is_remote() { ring_len } else { 0 })
+            commit_ring: (0..ring_len).map(|_| AtomicBloom::new()).collect(),
+            commit_req: (0..ring_len)
                 .map(|_| AtomicUsize::new(usize::MAX))
                 .collect(),
             steps_ahead_ts: self.algo.steps_ahead() as u64 * 2,
@@ -924,7 +960,7 @@ impl Stm {
     }
 
     /// Snapshot of the server-side scan/batch counters (slots visited per
-    /// pass, empty passes, V1 batch sizes). Under RInval these are
+    /// pass, empty passes, commit batch sizes). Under RInval these are
     /// maintained by the server threads; under InvalSTM the committing
     /// clients maintain the invalidation-scan counters.
     pub fn server_stats(&self) -> ServerStats {

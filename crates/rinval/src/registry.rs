@@ -16,11 +16,9 @@
 //! every pass. The registry now maintains two [`AtomicBitmap`] summary
 //! maps so scans touch only the slots that matter:
 //!
-//! * [`Registry::pending`] — bit `i` set ⇒ slot `i` has a published
-//!   `REQ_PENDING` commit request. Set by the client *after* its `SeqCst`
-//!   store of `REQ_PENDING` (so, in the `SeqCst` total order, an observed
-//!   set bit implies an observable `REQ_PENDING`); cleared by the server
-//!   when it picks the request up (before answering).
+//! * [`Registry::pending`] — bit `i` set ⇒ slot `i` has a request in
+//!   flight: `request_state` is `REQ_PENDING`, `REQ_IRREVOCABLE` or
+//!   `REQ_CLAIMED` (see "The pending-bit invariant" below).
 //! * [`Registry::live`] — bit `i` set ⇒ slot `i` may hold a live
 //!   transaction. Set in [`Registry::begin`] *before* the slot's status
 //!   becomes `TX_ALIVE` and cleared in [`Registry::end`] *after* it
@@ -29,6 +27,42 @@
 //!   over set bits can never miss a live reader. The bit may be set while
 //!   the slot is idle (begin/end windows); scanners still check
 //!   [`TxSlot::is_live`] per visited slot.
+//!
+//! ## The pending-bit invariant
+//!
+//! Three rules keep the `pending` map honest:
+//!
+//! 1. The client sets the bit *after* every post — its `SeqCst` store of
+//!    `REQ_PENDING` (commit) or `REQ_IRREVOCABLE` (token request).
+//! 2. Only the party that moves the request out of `PENDING` /
+//!    `IRREVOCABLE` clears the bit, and it clears it *before* answering.
+//!    Every claimant follows this order: the commit-server's admission
+//!    (`PENDING → CLAIMED`, then clear, then the verdict), the token grant
+//!    (clear, then `IRREVOCABLE → COMMITTED`), `drain_requests_abort` and
+//!    the recovery walk (claim or find `CLAIMED`, clear, answer).
+//! 3. A commit-server that claimed a request it cannot batch yet reverts it
+//!    by storing `REQ_PENDING` with the bit still set.
+//!
+//! So at every point of the `SeqCst` total order a set bit implies
+//! `REQ_PENDING | REQ_IRREVOCABLE | REQ_CLAIMED`. The bit covers a claimed
+//! request because the claim comes *before* the clear: clearing first
+//! and re-setting on revert would leave a stale bit whenever the client
+//! withdrew and re-posted in between. Two consequences follow:
+//!
+//! * **No scan misses a request.** A posted request's bit is set from
+//!   just after its post until a claimant owns it, and a reverted request
+//!   keeps its bit; the only clears come from owners.
+//! * **No bit outlives its verdict.** `REQ_COMMITTED` / `REQ_ABORTED` is
+//!   stored only after the bit was cleared, so the client cannot consume
+//!   a verdict and re-post while a stale bit from the previous request is
+//!   still up.
+//!
+//! One window sits outside the three states: a client withdrawing its own
+//! request (`withdraw_request`: deadline, degradation, unwind) CASes it
+//! to `REQ_IDLE` and clears the bit right after, so its own slot briefly
+//! reads `REQ_IDLE` with the bit set. No scanner acts on it (every scan
+//! re-checks `request_state`), and the clear happens before the client can
+//! post again.
 
 use crate::bloom::AtomicBloom;
 use crate::logs::WriteEntry;
@@ -415,8 +449,8 @@ impl Registry {
         self.unpin_era(idx);
     }
 
-    /// The pending-request summary map (bit per slot with a published
-    /// `REQ_PENDING` request).
+    /// The pending-request summary map (bit per slot with a request in
+    /// flight; see the module docs for the invariant).
     #[inline]
     pub fn pending(&self) -> &AtomicBitmap {
         &self.pending

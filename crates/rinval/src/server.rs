@@ -1,72 +1,76 @@
 //! Server threads for the RInval family, plus the fault-containment layer
 //! that supervises them.
 //!
-//! * [`commit_server_v1`] — Algorithm 2's `COMMIT-SERVER LOOP`: one thread
-//!   owns the global timestamp, performs invalidation *and* write-back for
-//!   every request, and is the only writer of shared metadata (so the
-//!   timestamp is bumped with plain stores, never CAS). On top of the
-//!   paper's per-request loop it *batches*: all currently-pending requests
-//!   whose signatures are pairwise independent commit under a single
-//!   timestamp bump, one merged invalidation scan and one odd/even phase
-//!   (see "Batched commits" below).
-//! * [`commit_server_v2`] — Algorithm 3/4: write-back only; invalidation is
-//!   delegated to [`invalidation_server`]s through a ring of commit write
-//!   signatures. With `steps_ahead = 0` this is exactly V2 (the server
-//!   waits for every invalidator before each request); with `steps_ahead =
-//!   n > 0` it is V3 (only the *requester's* invalidator must be caught up,
-//!   and others may lag up to `n` commits).
-//! * [`invalidation_server`] — Algorithm 3's `INVALIDATION-SERVER LOOP`:
-//!   chases the global timestamp in steps of 2, scanning its partition of
-//!   the registry against the published signature.
+//! * [`commit_server`] — the `COMMIT-SERVER LOOP` of every remote engine:
+//!   one thread owns the global timestamp (plain stores, never CAS) and
+//!   writes back every request. The engines differ only in where
+//!   invalidation runs (below).
+//! * [`invalidation_server`] — Algorithm 3's `INVALIDATION-SERVER LOOP`
+//!   (V2/V3/MV): chases the global timestamp in steps of 2, scanning its
+//!   partition of the registry against the published signature.
 //! * [`watchdog`] — supervises all of the above through per-seat
-//!   [`crate::sync::Heartbeat`] beacons: dead servers are respawned (after re-deriving a
-//!   consistent protocol state with [`recover_inflight`]); servers that are
-//!   alive but silent with work outstanding, or that keep dying, degrade
-//!   the instance to the serverless InvalSTM engine (see "Fault
-//!   containment" below).
+//!   [`crate::sync::Heartbeat`] beacons: dead servers are respawned (after
+//!   re-deriving a consistent protocol state with [`recover_inflight`]);
+//!   servers that are alive but silent with work outstanding, or that keep
+//!   dying, degrade the instance to the serverless InvalSTM engine (see
+//!   "Fault containment" below).
 //!
 //! Servers spin with [`Backoff`] (bounded spin, then yield) instead of the
 //! paper's pinned-core busy loop so the protocol stays live on
 //! oversubscribed hosts; the logic is otherwise a transcription of
 //! Algorithms 2–4 with the deviations documented here.
 //!
+//! ## One loop, two invalidation placements
+//!
+//! The paper presents V2/V3 as V1 with invalidation moved onto
+//! invalidation-servers, and [`commit_server`] reads the same way. Each
+//! pass beats and polls its failpoints, grants a posted irrevocable-token
+//! request once every invalidation-server has caught up, then scans the
+//! pending map: it skips a request whose own invalidation-server lags
+//! (Algorithm 4, line 2), waits until none lags more than `steps_ahead`
+//! commits (Algorithm 3 line 7 / Algorithm 4 line 5; `steps_ahead = 0` is
+//! V2), claims the request, answers it `ABORTED` if it was invalidated or
+//! refused by the census, and otherwise admits it into the batch.
+//! [`commit_batch`] then bumps the timestamp odd, invalidates, writes
+//! back, bumps even and answers. With no invalidation-servers (V1) it
+//! invalidates **inline** inside the odd phase (Algorithm 2, lines 19–21)
+//! and the lag checks and grant wait are trivially satisfied; with some
+//! (V2/V3/MV) it **publishes the ring entry** for commit `t/2`, and the
+//! invalidation-servers scan in parallel with the write-back (Algorithm 3,
+//! lines 12–14).
+//!
 //! ## Summary-bitmap scans
 //!
-//! The paper's loops walk the whole `max_threads` registry on every pass —
-//! three times per commit (request discovery, reader-bias census,
-//! invalidation). All three walks now iterate only the set bits of the
-//! registry's `pending` / `live` summary maps
-//! ([`crate::registry::Registry::pending`] /
+//! The paper's loops walk the whole `max_threads` registry three times per
+//! commit (request discovery, reader-bias census, invalidation). Here
+//! every walk iterates only the set bits of the registry's `pending` /
+//! `live` summary maps ([`crate::registry::Registry::pending`] /
 //! [`crate::registry::Registry::live`]), so per-pass work is proportional
-//! to the number of *active* slots, not the registry capacity. The
-//! publication orders (pending bit set after `REQ_PENDING`; live bit set
-//! before `TX_ALIVE`, cleared after `TX_IDLE`) guarantee that a bitmap
-//! scan observes every request/transaction the corresponding full walk
-//! would have — the `registry` module docs give the `SeqCst` total-order
+//! to the number of *active* slots. The publication orders guarantee that
+//! a bitmap scan observes every request and transaction the full walk
+//! would have; the `registry` module docs give the `SeqCst` total-order
 //! argument. Every walk goes through the shared scan kernel
-//! ([`crate::scan::scan`]), which adds slot prefetch from the word ahead
-//! of the cursor and records scan work uniformly in
-//! [`crate::stats::ServerCounters`] (see `scan.rs` for the accounting
-//! contract).
+//! ([`crate::scan::scan`]), which prefetches slots and records scan work
+//! uniformly in [`crate::stats::ServerCounters`].
 //!
-//! ## Batched commits (V1)
+//! ## Batched commits
 //!
-//! Algorithm 2 serializes every commit through its own timestamp bump.
-//! Under commit pressure most of that cost is protocol overhead: the bump,
-//! the `SeqCst` fence and the invalidation scan are identical for requests
-//! that cannot possibly conflict. The V1 server therefore *drains* the
-//! pending map per pass, admitting a request into the current batch iff it
-//! is fully independent of every admitted member: its write signature
-//! intersects neither the batch's merged write signature (write-write) nor
-//! the batch's merged read signature (write-read), and its read signature
-//! does not intersect the batch's merged writes (read-write). Independent
-//! requests are answered under one bump with one merged-signature
-//! invalidation scan; dependent requests stay pending and serialize on a
-//! later pass (where the invalidation performed for the earlier batch
-//! aborts them if they had read what the batch wrote). Full independence —
-//! not just the pairwise-disjoint *write* sets — is required: two requests
-//! with disjoint writes but crossing read/write dependencies have no
-//! equivalent serial order and must not land in one batch.
+//! Algorithm 2 pays one timestamp bump, one `SeqCst` fence and one
+//! invalidation scan per request. With inline invalidation the loop
+//! instead drains the pending map per pass into a batch, admitting a
+//! request iff it is *fully independent* of every member: its writes miss
+//! the batch's merged writes and reads, and its reads miss the merged
+//! writes. Disjoint write-sets alone are not enough — crossing read/write
+//! dependencies have no equivalent serial order. The batch commits under
+//! one bump with one merged invalidation scan; a dependent request is
+//! reverted to `PENDING` and serializes on a later pass, where that scan
+//! aborts it if it read what the batch wrote (DESIGN.md §8).
+//!
+//! With invalidation-servers the batch holds **one** request: a ring entry
+//! names exactly one requester for the invalidators to skip (its reads
+//! always intersect its own writes), so a larger batch would need a skip
+//! set per entry. Each such commit still counts as a batch of one, so
+//! `batches` / `batched_requests` describe every remote engine.
 //!
 //! ## Fault containment
 //!
@@ -79,8 +83,8 @@
 //!
 //! Recovery leans on two protocol invariants (DESIGN.md §11):
 //!
-//! 1. **Odd timestamp ⇒ claimed requests are an admitted commit.** Both
-//!    commit-servers answer doomed requests (invalidated / over budget)
+//! 1. **Odd timestamp ⇒ claimed requests are an admitted commit.** The
+//!    commit-server answers doomed requests (invalidated / over budget)
 //!    *before* bumping the timestamp, so any slot still `CLAIMED` while
 //!    the timestamp is odd passed its status checks and its commit must be
 //!    *completed*: readers spin while the timestamp is odd, so no partial
@@ -105,7 +109,7 @@ use crate::registry::{
 use crate::scan::{scan, ScanKind};
 use crate::stats::ServerCounters;
 use crate::sync::Backoff;
-use crate::{AlgorithmKind, StmInner};
+use crate::StmInner;
 use std::ops::ControlFlow;
 use std::sync::atomic::{fence, Ordering};
 use std::sync::Arc;
@@ -152,7 +156,8 @@ fn mask_get(mask: &[u64], i: usize) -> bool {
 
 /// Invalidates every live transaction (except those in `skip_mask`) whose
 /// read signature intersects `wbf`, walking only the `live` summary map.
-/// Shared by V1's inline invalidation and the invalidation-servers.
+/// Shared by the commit loop's inline path (V1), the invalidation-servers
+/// and the recovery walk.
 ///
 /// `server`: `Some(k)` restricts the walk to invalidation-server `k`'s
 /// partition — under domain sharding that means only `k`'s served domains'
@@ -304,10 +309,11 @@ fn census_refusal(stm: &StmInner, wbf: &Bloom, c_idx: usize, pc: u32) -> Option<
 }
 
 /// Refuses a claimed commit request on census grounds: raises the
-/// requester's published priority to `inherit`, answers `ABORTED` and
-/// counts the refusal. The pending bit must already be cleared.
+/// requester's published priority to `inherit`, clears its pending bit,
+/// answers `ABORTED` and counts the refusal.
 fn refuse_request(stm: &StmInner, i: usize, inherit: u32) {
     let slot = stm.registry.slot(i);
+    stm.registry.pending().clear(i);
     slot.priority.fetch_max(inherit, Ordering::SeqCst);
     stm.note_priority(inherit);
     slot.request_state.store(REQ_ABORTED, Ordering::SeqCst);
@@ -399,10 +405,7 @@ fn pass_failpoints(stm: &StmInner, death_site: usize, stall_site: usize) -> bool
     }
     match stm.faults.hit(stall_site) {
         Some(FaultAction::Stall) => {
-            while stm.faults.armed(stall_site)
-                && !stm.shutdown.load(Ordering::SeqCst)
-                && !stm.degraded.load(Ordering::SeqCst)
-            {
+            while stm.faults.armed(stall_site) && !stm.servers_stopped() {
                 std::thread::sleep(Duration::from_micros(200));
             }
         }
@@ -412,19 +415,85 @@ fn pass_failpoints(stm: &StmInner, death_site: usize, stall_site: usize) -> bool
     true
 }
 
-/// RInval-V1 commit-server (paper Algorithm 2, lines 10–25, plus commit
-/// batching — see the module docs).
-pub(crate) fn commit_server_v1(stm: &StmInner) {
+/// The requests one timestamp bump commits (module docs, "Batched
+/// commits").
+struct Batch {
+    /// `(slot, write-set ptr, len)` of every admitted member.
+    members: Vec<(usize, *const WriteEntry, usize)>,
+    /// Merged write and read signatures. Meaningful only while `members`
+    /// is non-empty: the first member overwrites them, so no pass clears
+    /// them.
+    wbf: Bloom,
+    rbf: Bloom,
+    /// The members as a registry bitmask, skipped by inline invalidation.
+    mask: Vec<u64>,
+    /// Members per bump: unbounded with inline invalidation, one with
+    /// invalidation-servers.
+    cap: usize,
+}
+
+/// Commits `batch` under one timestamp bump (Algorithm 2, lines 18–24;
+/// Algorithm 3, lines 12–15) and empties it. Invalidation runs inline in
+/// the odd phase when the instance has no invalidation-servers; otherwise
+/// the ring entry for commit `t/2` is published first, and the odd bump is
+/// the signal that starts the invalidation-servers on it.
+fn commit_batch(stm: &StmInner, batch: &mut Batch) {
+    let t = stm.timestamp.load(Ordering::Relaxed);
+    let inline = stm.inval_ts.is_empty();
+    if !inline {
+        let ring_idx = ((t / 2) % stm.commit_ring.len() as u64) as usize;
+        stm.commit_ring[ring_idx].store_from(&batch.wbf);
+        stm.commit_req[ring_idx].store(batch.members[0].0, Ordering::Relaxed);
+    }
+    // Plain stores: this thread is the timestamp's only writer.
+    stm.timestamp.store(t + 1, Ordering::SeqCst);
+    fence(Ordering::SeqCst);
+    if inline {
+        invalidate_conflicting(stm, &batch.wbf, &batch.mask, None, None);
+    }
+    for &(i, ptr, len) in &batch.members {
+        // SAFETY: every member is CLAIMED and its client spins until the
+        // answer below, so its published write-set stays valid and
+        // unchanged (the `write_back` contract).
+        unsafe {
+            write_back(stm, ptr, len, t + 2);
+            tally_commit_domains(stm, i, ptr, len);
+        }
+    }
+    stm.timestamp.store(t + 2, Ordering::SeqCst);
+    for &(i, _, _) in &batch.members {
+        let slot = stm.registry.slot(i);
+        slot.request_state.store(REQ_COMMITTED, Ordering::SeqCst);
+        batch.mask[i / 64] &= !(1u64 << (i % 64));
+    }
+    ServerCounters::add(&stm.server_stats.batches, 1);
+    ServerCounters::add(
+        &stm.server_stats.batched_requests,
+        batch.members.len() as u64,
+    );
+    batch.members.clear();
+}
+
+/// The commit-server of every remote engine (module docs, "One loop, two
+/// invalidation placements").
+pub(crate) fn commit_server(stm: &StmInner) {
     let hb = &stm.health[0];
     let _alive = hb.alive_guard();
     let st = &stm.server_stats;
     let mut wbf = Bloom::new();
-    let mut batch_wbf = Bloom::new();
-    let mut batch_rbf = Bloom::new();
-    let mut batch: Vec<(usize, *const WriteEntry, usize)> = Vec::new();
-    let mut batch_mask: Vec<u64> = vec![0; stm.registry.len().div_ceil(64)];
+    let mut batch = Batch {
+        members: Vec::new(),
+        wbf: Bloom::new(),
+        rbf: Bloom::new(),
+        mask: vec![0; stm.registry.len().div_ceil(64)],
+        cap: if stm.inval_ts.is_empty() {
+            usize::MAX
+        } else {
+            1
+        },
+    };
     let mut idle = Backoff::new();
-    while !stm.shutdown.load(Ordering::SeqCst) && !stm.degraded.load(Ordering::SeqCst) {
+    while !stm.servers_stopped() {
         hb.beat();
         if !pass_failpoints(
             stm,
@@ -435,205 +504,30 @@ pub(crate) fn commit_server_v1(stm: &StmInner) {
         }
         ServerCounters::add(&st.scan_passes, 1);
         let mut answered = false;
-        // Irrevocable-token grant point (DESIGN.md §13). V1 has no commit
-        // in flight between passes, so a posted token request can be
-        // granted right at the top of a pass. While a holder exists only
-        // its own requests are served; everyone else's pending bits stay
-        // set until the holder commits (client spins have bounded
-        // deadline/shutdown escapes).
+        // Irrevocable-token grant point (DESIGN.md §13). No commit is in
+        // flight between passes, but a lagging ring scan could still doom
+        // the holder's fresh snapshot, so the grant also waits for every
+        // invalidation-server; meanwhile the pass admits nothing, so the
+        // precondition converges. While a holder exists only its own
+        // requests are served.
         let mut holder = stm.irrevocable_holder();
         match holder {
             None => {
                 if let Some(r) = token_request(stm) {
+                    let t = stm.timestamp.load(Ordering::SeqCst);
+                    if !stm.inval_ts.iter().all(|k| k.load(Ordering::SeqCst) >= t) {
+                        idle.snooze();
+                        continue;
+                    }
                     if try_grant_token(stm, r) {
                         holder = Some(r);
                         answered = true;
                     }
                 }
             }
+            // Re-answer a grant a dead server stored but never answered
+            // (idempotent across respawns).
             Some(h) => {
-                // A server that died between its token store and its
-                // answer leaves the holder waiting on an unanswered
-                // request; re-answering here is idempotent.
-                if stm.registry.slot(h).request_state.load(Ordering::SeqCst) == REQ_IRREVOCABLE
-                    && try_grant_token(stm, h)
-                {
-                    answered = true;
-                }
-            }
-        }
-        batch.clear();
-        batch_wbf.clear();
-        batch_rbf.clear();
-        batch_mask.iter_mut().for_each(|w| *w = 0);
-        let _ = scan(
-            &stm.registry,
-            st,
-            stm.registry.pending(),
-            ScanKind::Admission,
-            stm.served_word_ranges(None),
-            // While a token holder exists only its own requests are served;
-            // the skip is uncounted, like the partition skips elsewhere.
-            |i| holder.is_none_or(|h| h == i),
-            |i, slot| {
-                // Line 14, hardened: *claim* the request rather than just
-                // observing it. A set pending bit was published after the
-                // client's SeqCst store of REQ_PENDING, so the successful
-                // CAS doubles as the acquire of the request payload — and
-                // from here until we answer (or revert), no concurrent
-                // withdrawal can retract the payload out from under us.
-                if slot
-                    .request_state
-                    .compare_exchange(
-                        REQ_PENDING,
-                        REQ_CLAIMED,
-                        Ordering::SeqCst,
-                        Ordering::SeqCst,
-                    )
-                    .is_err()
-                {
-                    return ControlFlow::Continue(());
-                }
-                // Line 15: the client may have been invalidated by a commit
-                // we processed after it went PENDING; checking *before*
-                // bumping the timestamp saves a useless version bump (paper
-                // §IV-A) — and keeps invariant 1 of the module docs: a slot
-                // still CLAIMED at an odd timestamp has passed this check.
-                if slot.tx_status.load(Ordering::SeqCst) == TX_INVALIDATED {
-                    stm.registry.pending().clear(i);
-                    slot.request_state.store(REQ_ABORTED, Ordering::SeqCst);
-                    answered = true;
-                    return ControlFlow::Continue(());
-                }
-                // Fused admission pass: one sweep of the request's write
-                // signature snapshots it into `wbf` *and* answers both
-                // batch-independence intersections (write-write against the
-                // merged writes, write-read against the merged reads) —
-                // previously three separate 256-word walks.
-                let (hits_w, hits_r) =
-                    slot.req_write_bf
-                        .snapshot_intersect2(&mut wbf, &batch_wbf, &batch_rbf);
-                // Admission census (§13): priority/budget refusal, checked
-                // per request at admission so batching preserves the
-                // per-commit budget. The token holder bypasses it — its
-                // commit must never be refused or the grant's progress
-                // guarantee is void.
-                if holder != Some(i) {
-                    let pc = slot.priority.load(Ordering::SeqCst);
-                    if let Some(inherit) = census_refusal(stm, &wbf, i, pc) {
-                        stm.registry.pending().clear(i);
-                        refuse_request(stm, i, inherit);
-                        answered = true;
-                        return ControlFlow::Continue(());
-                    }
-                }
-                // Batch admission: fully independent of every member, or
-                // stay pending and serialize behind this batch on a later
-                // pass. The claim is reverted (bit still set), re-opening
-                // the withdrawal window for the client.
-                if !batch.is_empty()
-                    && (hits_w || hits_r || slot.read_bf.intersects_plain(&batch_wbf))
-                {
-                    slot.request_state.store(REQ_PENDING, Ordering::SeqCst);
-                    return ControlFlow::Continue(());
-                }
-                stm.registry.pending().clear(i);
-                batch_wbf.union_with(&wbf);
-                slot.read_bf.or_into(&mut batch_rbf);
-                mask_set(&mut batch_mask, i);
-                batch.push((
-                    i,
-                    slot.req_ws_ptr.load(Ordering::Relaxed),
-                    slot.req_ws_len.load(Ordering::Relaxed),
-                ));
-                ControlFlow::Continue(())
-            },
-        );
-        if !batch.is_empty() {
-            // Line 18: enter the odd (commit-in-flight) phase — once for
-            // the whole batch. Plain store: this thread is the timestamp's
-            // only writer.
-            let t = stm.timestamp.load(Ordering::Relaxed);
-            stm.timestamp.store(t + 1, Ordering::SeqCst);
-            fence(Ordering::SeqCst);
-            // Lines 19–21: one merged invalidation scan for the batch
-            // (members skip each other; their own reads always intersect
-            // their own writes).
-            invalidate_conflicting(stm, &batch_wbf, &batch_mask, None, None);
-            // Line 22: publish every member's write-set.
-            for &(i, ptr, len) in &batch {
-                unsafe {
-                    write_back(stm, ptr, len, t + 2);
-                    tally_commit_domains(stm, i, ptr, len);
-                }
-            }
-            // Line 23: leave the odd phase.
-            stm.timestamp.store(t + 2, Ordering::SeqCst);
-            // Line 24: answer every member.
-            for &(i, _, _) in &batch {
-                stm.registry
-                    .slot(i)
-                    .request_state
-                    .store(REQ_COMMITTED, Ordering::SeqCst);
-            }
-            ServerCounters::add(&st.batches, 1);
-            ServerCounters::add(&st.batched_requests, batch.len() as u64);
-            answered = true;
-        }
-        if answered {
-            idle.reset();
-        } else {
-            ServerCounters::add(&st.empty_passes, 1);
-            idle.snooze();
-        }
-    }
-}
-
-/// RInval-V2/V3 commit-server (paper Algorithms 3 and 4).
-pub(crate) fn commit_server_v2(stm: &StmInner) {
-    let hb = &stm.health[0];
-    let _alive = hb.alive_guard();
-    let st = &stm.server_stats;
-    let mut wbf = Bloom::new();
-    let mut idle = Backoff::new();
-    let ring = stm.commit_ring.len() as u64;
-    let nk = stm.inval_ts.len();
-    'scan: while !stm.shutdown.load(Ordering::SeqCst) && !stm.degraded.load(Ordering::SeqCst) {
-        hb.beat();
-        if !pass_failpoints(
-            stm,
-            faults::site::SERVER_COMMIT_DEATH,
-            faults::site::SERVER_COMMIT_STALL,
-        ) {
-            return;
-        }
-        ServerCounters::add(&st.scan_passes, 1);
-        let mut answered = false;
-        // Irrevocable-token grant point (DESIGN.md §13). Unlike V1, a
-        // grant here must wait for every invalidation-server to have
-        // consumed every published commit: a lagging ring scan could
-        // otherwise doom the holder's fresh snapshot after the grant.
-        // Until the invalidators catch up the server *drains* — admits no
-        // further commits this pass — so the precondition converges.
-        let mut holder = stm.irrevocable_holder();
-        match holder {
-            None => {
-                if let Some(r) = token_request(stm) {
-                    let t = stm.timestamp.load(Ordering::SeqCst);
-                    if (0..nk).all(|k| stm.inval_ts[k].load(Ordering::SeqCst) >= t) {
-                        if try_grant_token(stm, r) {
-                            holder = Some(r);
-                            answered = true;
-                        }
-                    } else {
-                        idle.snooze();
-                        continue 'scan;
-                    }
-                }
-            }
-            Some(h) => {
-                // Re-answer a grant a dead server stored but never
-                // answered (idempotent across respawns).
                 if stm.registry.slot(h).request_state.load(Ordering::SeqCst) == REQ_IRREVOCABLE
                     && try_grant_token(stm, h)
                 {
@@ -651,110 +545,108 @@ pub(crate) fn commit_server_v2(stm: &StmInner) {
             // skip.
             |i| holder.is_none_or(|h| h == i),
             |i, slot| {
-                // Cheap pre-filter; the authoritative pickup is the CAS
-                // below.
                 if slot.request_state.load(Ordering::SeqCst) != REQ_PENDING {
                     return ControlFlow::Continue(());
                 }
                 let t = stm.timestamp.load(Ordering::Relaxed);
-                // Algorithm 4, line 2: only take a request whose own
-                // invalidation-server has processed every prior commit —
-                // otherwise the tx_status check below would not be
-                // authoritative. Under domain sharding `inval_server_of`
-                // maps the slot to the server covering its *domain*, so
-                // this is a per-domain lag check: a lagging domain only
-                // defers its own requests, never strands another domain's.
-                // (In V2 the global wait below implies this; checking first
-                // lets V3 skip past a stalled partition.) The request stays
-                // pending and is *not* counted as progress: treating a
-                // lagging partition as "found" work would keep the server
-                // hot-spinning with no backoff while contributing nothing.
-                let req_server = stm.inval_server_of(i);
-                if stm.inval_ts[req_server].load(Ordering::SeqCst) < t {
+                // Algorithm 4, line 2: the request's own invalidation-server
+                // (per domain, under sharding) must have processed every
+                // prior commit, or the tx_status check below would not be
+                // authoritative. A lagging partition defers only its own
+                // requests and does not count as progress.
+                if !stm.inval_ts.is_empty()
+                    && stm.inval_ts[stm.inval_server_of(i)].load(Ordering::SeqCst) < t
+                {
                     return ControlFlow::Continue(());
                 }
-                // Algorithm 3 line 7 / Algorithm 4 line 5: wait until no
-                // invalidation-server lags more than `steps_ahead` commits,
-                // so the ring slot we are about to overwrite has been
-                // consumed. The request is still PENDING here
-                // (withdrawable); we keep beating so a lagging
-                // *invalidator* — not this seat — is what the watchdog sees
-                // as stalled.
+                // Algorithm 3 line 7 / Algorithm 4 line 5: no
+                // invalidation-server may lag more than `steps_ahead`
+                // commits, so the ring entry about to be reused has been
+                // consumed. The request is still withdrawable; beating
+                // keeps the *invalidator* the one the watchdog sees stall.
                 let mut bk = Backoff::new();
-                for k in 0..nk {
-                    while t.saturating_sub(stm.inval_ts[k].load(Ordering::SeqCst))
-                        > stm.steps_ahead_ts
-                    {
-                        if stm.shutdown.load(Ordering::SeqCst)
-                            || stm.degraded.load(Ordering::SeqCst)
-                        {
+                for k in stm.inval_ts.iter() {
+                    while t.saturating_sub(k.load(Ordering::SeqCst)) > stm.steps_ahead_ts {
+                        if stm.servers_stopped() {
                             return ControlFlow::Break(());
                         }
                         hb.beat();
                         bk.snooze();
                     }
                 }
-                // Pickup (see the module docs): the CAS makes us the
-                // request's sole owner; a failure means the client withdrew
-                // it.
+                // Pickup (module docs, "Fault containment"): the CAS makes
+                // us the sole owner and acquires the payload; a failure
+                // means the client withdrew.
                 if slot
                     .request_state
-                    .compare_exchange(
-                        REQ_PENDING,
-                        REQ_CLAIMED,
-                        Ordering::SeqCst,
-                        Ordering::SeqCst,
-                    )
+                    .compare_exchange(REQ_PENDING, REQ_CLAIMED, Ordering::SeqCst, Ordering::SeqCst)
                     .is_err()
                 {
                     return ControlFlow::Continue(());
                 }
-                stm.registry.pending().clear(i);
-                answered = true;
-                // Algorithm 3, lines 9–10: authoritative invalidation check.
+                // Algorithm 2 line 15 / Algorithm 3 lines 9–10, before the
+                // bump (invariant 1 of the module docs).
                 if slot.tx_status.load(Ordering::SeqCst) == TX_INVALIDATED {
+                    stm.registry.pending().clear(i);
                     slot.request_state.store(REQ_ABORTED, Ordering::SeqCst);
+                    answered = true;
                     return ControlFlow::Continue(());
                 }
-                // Algorithm 3 line 12 / Algorithm 4 line 8: hand the write
-                // signature (and the requester's identity, so invalidators
-                // can skip it — a read-modify-write transaction always
-                // intersects its own read signature) to the
-                // invalidation-servers via the ring slot for commit number
-                // t/2.
-                slot.req_write_bf.load_into(&mut wbf);
-                // Admission census (§13): the commit-server applies the
-                // priority/budget refusal itself before involving the
-                // invalidation-servers. The token holder bypasses it.
+                // The first member's signature loads straight into the
+                // batch; a later candidate's snapshot sweep also answers
+                // the write-write and write-read independence tests.
+                let (sig, dependent) = if batch.members.is_empty() {
+                    slot.req_write_bf.load_into(&mut batch.wbf);
+                    (&batch.wbf, false)
+                } else {
+                    let (ww, wr) = slot
+                        .req_write_bf
+                        .snapshot_intersect2(&mut wbf, &batch.wbf, &batch.rbf);
+                    (&wbf, ww || wr || slot.read_bf.intersects_plain(&batch.wbf))
+                };
+                // Admission census (§13), per request so batching keeps the
+                // per-commit budget; the token holder is never refused.
                 if holder != Some(i) {
                     let pc = slot.priority.load(Ordering::SeqCst);
-                    if let Some(inherit) = census_refusal(stm, &wbf, i, pc) {
+                    if let Some(inherit) = census_refusal(stm, sig, i, pc) {
                         refuse_request(stm, i, inherit);
+                        answered = true;
                         return ControlFlow::Continue(());
                     }
                 }
-                let ring_idx = ((t / 2) % ring) as usize;
-                stm.commit_ring[ring_idx].store_from(&wbf);
-                stm.commit_req[ring_idx].store(i, Ordering::Relaxed);
-                let ptr = slot.req_ws_ptr.load(Ordering::Relaxed);
-                let len = slot.req_ws_len.load(Ordering::Relaxed);
-                // Algorithm 3, line 13: entering the odd phase *is* the
-                // signal that starts the invalidation-servers on this
-                // commit.
-                stm.timestamp.store(t + 1, Ordering::SeqCst);
-                fence(Ordering::SeqCst);
-                // Line 14: write-back runs in parallel with invalidation.
-                unsafe {
-                    write_back(stm, ptr, len, t + 2);
-                    tally_commit_domains(stm, i, ptr, len);
+                // A dependent request serializes behind this batch on a
+                // later pass: revert the claim, bit still set.
+                if dependent {
+                    slot.request_state.store(REQ_PENDING, Ordering::SeqCst);
+                    return ControlFlow::Continue(());
                 }
-                stm.timestamp.store(t + 2, Ordering::SeqCst);
-                slot.request_state.store(REQ_COMMITTED, Ordering::SeqCst);
+                stm.registry.pending().clear(i);
+                if !batch.members.is_empty() {
+                    batch.wbf.union_with(&wbf);
+                    slot.read_bf.or_into(&mut batch.rbf);
+                } else if batch.cap > 1 {
+                    slot.read_bf.load_into(&mut batch.rbf);
+                }
+                mask_set(&mut batch.mask, i);
+                batch.members.push((
+                    i,
+                    slot.req_ws_ptr.load(Ordering::Relaxed),
+                    slot.req_ws_len.load(Ordering::Relaxed),
+                ));
+                if batch.members.len() == batch.cap {
+                    commit_batch(stm, &mut batch);
+                    answered = true;
+                }
                 ControlFlow::Continue(())
             },
         );
+        // Claimed members must be answered even if the pass was cut short.
+        if !batch.members.is_empty() {
+            commit_batch(stm, &mut batch);
+            answered = true;
+        }
         if flow.is_break() {
-            break 'scan;
+            break;
         }
         if answered {
             idle.reset();
@@ -778,7 +670,7 @@ pub(crate) fn invalidation_server(stm: &StmInner, k: usize) {
     let me = &stm.inval_ts[k];
     let ring = stm.commit_ring.len() as u64;
     let mut skip_mask: Vec<u64> = vec![0; stm.registry.len().div_ceil(64)];
-    while !stm.shutdown.load(Ordering::SeqCst) && !stm.degraded.load(Ordering::SeqCst) {
+    while !stm.servers_stopped() {
         hb.beat();
         if !pass_failpoints(
             stm,
@@ -1007,7 +899,7 @@ fn seat_busy(stm: &StmInner, seat: usize) -> bool {
 /// `1 + k` is invalidation-server `k`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum ServerRole {
-    /// The commit-server (V1 or V2/V3, per the instance's algorithm).
+    /// The commit-server ([`commit_server`], for every remote engine).
     Commit,
     /// Invalidation-server `k` (V2/V3 only).
     Inval(usize),
@@ -1060,11 +952,7 @@ pub(crate) fn spawn_server(
             .name("rinval-commit".into())
             .spawn(move || {
                 pin_to_cpus(i.topology.cpus(0));
-                if i.algo == AlgorithmKind::RInvalV1 {
-                    commit_server_v1(&i)
-                } else {
-                    commit_server_v2(&i)
-                }
+                commit_server(&i)
             }),
         ServerRole::Inval(k) => std::thread::Builder::new()
             .name(format!("rinval-inval-{k}"))
@@ -1099,9 +987,6 @@ pub(crate) fn watchdog(stm: Arc<StmInner>) {
     let mut misses = vec![0u32; seats];
     let mut respawns_left = cfg.max_respawns;
     let mut children: Vec<JoinHandle<()>> = Vec::new();
-    let done = |stm: &StmInner| {
-        stm.shutdown.load(Ordering::SeqCst) || stm.degraded.load(Ordering::SeqCst)
-    };
     // Wait for the initial threads to check in before supervising, so a
     // slow spawn is not mistaken for a death (which would fork a second
     // commit-server). A seat counts as checked in if it is alive *or* has
@@ -1113,7 +998,7 @@ pub(crate) fn watchdog(stm: Arc<StmInner>) {
     let t0 = Instant::now();
     for (s, hb) in stm.health.iter().enumerate() {
         while !hb.is_alive() && hb.beats() == 0 {
-            if done(&stm) {
+            if stm.servers_stopped() {
                 return;
             }
             if t0.elapsed() > Duration::from_secs(5) {
@@ -1124,7 +1009,7 @@ pub(crate) fn watchdog(stm: Arc<StmInner>) {
         }
         last[s] = hb.beats();
     }
-    'supervise: while !done(&stm) {
+    'supervise: while !stm.servers_stopped() {
         std::thread::sleep(cfg.interval);
         // `server.watchdog.skip`: Fail skips this supervision round (a
         // blind watchdog — deaths in the window go unnoticed until the
@@ -1139,7 +1024,7 @@ pub(crate) fn watchdog(stm: Arc<StmInner>) {
             _ => {}
         }
         for seat in 0..seats {
-            if done(&stm) {
+            if stm.servers_stopped() {
                 break 'supervise;
             }
             let hb = &stm.health[seat];
@@ -1176,7 +1061,7 @@ pub(crate) fn watchdog(stm: Arc<StmInner>) {
                         // death and the respawn budget drains normally).
                         while !hb.is_alive()
                             && hb.beats() == before
-                            && !done(&stm)
+                            && !stm.servers_stopped()
                             && t0.elapsed() < Duration::from_millis(500)
                         {
                             std::thread::sleep(Duration::from_micros(200));
@@ -1185,7 +1070,7 @@ pub(crate) fn watchdog(stm: Arc<StmInner>) {
                     }
                     Err(_) => false,
                 };
-                if !up && !done(&stm) {
+                if !up && !stm.servers_stopped() {
                     degrade(&stm);
                     break 'supervise;
                 }

@@ -113,7 +113,8 @@ pub struct ServerCounters {
     /// twin of `inval_words_scanned`, recorded by the shared scan kernel
     /// (`scan.rs`) so all scan sites account word traffic identically.
     pub census_words_scanned: AtomicU64,
-    /// V1 commit batches processed (each batch = one timestamp bump).
+    /// Commit batches processed by the commit-server (each batch = one
+    /// timestamp bump; always one request under V2/V3/MV).
     pub batches: AtomicU64,
     /// Commit requests answered through batches (`batched_requests /
     /// batches` = mean batch size).
@@ -260,7 +261,7 @@ pub struct ServerStats {
     pub census_scans: u64,
     /// Summary-bitmap words examined by census walks.
     pub census_words_scanned: u64,
-    /// V1 commit batches processed.
+    /// Commit batches processed (one timestamp bump each).
     pub batches: u64,
     /// Commit requests answered through batches.
     pub batched_requests: u64,
@@ -351,7 +352,8 @@ impl ServerStats {
         }
     }
 
-    /// Mean V1 batch size (1.0 when every bump served a single request).
+    /// Mean commit batch size (1.0 when every bump served a single
+    /// request, as always under V2/V3/MV).
     pub fn mean_batch_size(&self) -> f64 {
         if self.batches == 0 {
             0.0

@@ -13,28 +13,6 @@
 
 use rinval::{AlgorithmKind, PhaseStats, Stm};
 
-/// Every kind, with the parameterized family members at small server
-/// counts so the suite stays fast on single-core hosts.
-fn all_kinds() -> [AlgorithmKind; 9] {
-    [
-        AlgorithmKind::CoarseLock,
-        AlgorithmKind::Tml,
-        AlgorithmKind::NOrec,
-        AlgorithmKind::Tl2,
-        AlgorithmKind::InvalStm,
-        AlgorithmKind::RInvalV1,
-        AlgorithmKind::RInvalV2 { invalidators: 2 },
-        AlgorithmKind::RInvalV3 {
-            invalidators: 2,
-            steps_ahead: 3,
-        },
-        AlgorithmKind::RInvalMV {
-            invalidators: 2,
-            steps_ahead: 3,
-        },
-    ]
-}
-
 /// Deterministic single-thread workload touching every op the facade
 /// exposes: reads, writes, alloc/init, free, and a couple of user aborts.
 /// Returns (final words, accumulated thread stats, heap stats).
@@ -94,7 +72,7 @@ fn workload_observables_identical_across_kinds() {
     let (ref_words, ref_stats, ref_heap) = run_workload(AlgorithmKind::CoarseLock);
     assert!(ref_stats.commits > 0);
     assert_eq!(ref_stats.aborts, 3, "try_run must burn exactly 3 attempts");
-    for algo in all_kinds() {
+    for algo in AlgorithmKind::all() {
         let (words, stats, heap) = run_workload(algo);
         let name = algo.name();
         assert_eq!(words, ref_words, "{name}: final heap words diverge");
@@ -120,7 +98,7 @@ fn workload_observables_identical_across_kinds() {
 #[test]
 fn server_counters_match_write_commits() {
     const INCS: u64 = 40;
-    for algo in all_kinds() {
+    for algo in AlgorithmKind::all() {
         let stm = Stm::builder(algo).heap_words(1 << 10).build();
         let c = stm.alloc_init(&[0]);
         {
@@ -140,25 +118,23 @@ fn server_counters_match_write_commits() {
                 // Committing clients run the invalidation scan inline.
                 assert_eq!(st.inval_scans, INCS, "{name}: one inline scan per commit");
             }
-            AlgorithmKind::RInvalV1 => {
+            _ if algo.is_remote() => {
+                // One commit-server loop serves every remote engine: each
+                // write commit is answered through a batch, and each batch
+                // costs one odd/even timestamp pair.
                 assert_eq!(
                     st.batched_requests, INCS,
                     "{name}: every commit answered through a batch"
                 );
                 assert!(st.batches >= 1 && st.batches <= INCS, "{name}: batches");
-            }
-            AlgorithmKind::RInvalV2 { .. } | AlgorithmKind::RInvalV3 { .. } => {
-                // The commit-server bumps the timestamp twice per write
-                // commit (odd to lock, even to release).
-                assert_eq!(stm.timestamp(), 2 * INCS, "{name}: server timestamp");
-            }
-            AlgorithmKind::RInvalMV { .. } => {
-                // Every transaction reads first, then writes: each one
-                // promotes from the snapshot path to the V3 protocol and
-                // commits through the server.
-                assert_eq!(stm.timestamp(), 2 * INCS, "{name}: server timestamp");
-                assert_eq!(st.ro_promotions, INCS, "{name}: one promotion per tx");
-                assert_eq!(st.ro_snapshot_commits, 0, "{name}: no pure-RO commits");
+                assert_eq!(stm.timestamp(), 2 * st.batches, "{name}: server timestamp");
+                if algo.is_multi_version() {
+                    // Every transaction reads first, then writes: each one
+                    // promotes from the snapshot path to the V3 protocol
+                    // and commits through the server.
+                    assert_eq!(st.ro_promotions, INCS, "{name}: one promotion per tx");
+                    assert_eq!(st.ro_snapshot_commits, 0, "{name}: no pure-RO commits");
+                }
             }
             _ => {
                 // Non-invalidation kinds never touch the server counters.
@@ -174,7 +150,7 @@ fn server_counters_match_write_commits() {
 /// parameterized kinds landing on the documented defaults).
 #[test]
 fn from_str_inverts_name() {
-    for algo in all_kinds() {
+    for algo in AlgorithmKind::all() {
         let parsed: AlgorithmKind = algo.name().parse().unwrap();
         assert_eq!(parsed.name(), algo.name());
         // The bare name yields the paper-default parameters.
@@ -198,6 +174,7 @@ fn from_str_inverts_name() {
         let parsed: AlgorithmKind = name.parse().unwrap();
         assert_eq!(parsed.name(), name);
     }
+    assert_eq!(AlgorithmKind::all().map(|k| k.name()), AlgorithmKind::NAMES);
 }
 
 #[test]

@@ -159,27 +159,6 @@ proptest! {
     }
 }
 
-/// Every kind, mirroring the dispatch suite's parameterization.
-fn all_kinds() -> [AlgorithmKind; 9] {
-    [
-        AlgorithmKind::CoarseLock,
-        AlgorithmKind::Tml,
-        AlgorithmKind::NOrec,
-        AlgorithmKind::Tl2,
-        AlgorithmKind::InvalStm,
-        AlgorithmKind::RInvalV1,
-        AlgorithmKind::RInvalV2 { invalidators: 2 },
-        AlgorithmKind::RInvalV3 {
-            invalidators: 2,
-            steps_ahead: 3,
-        },
-        AlgorithmKind::RInvalMV {
-            invalidators: 2,
-            steps_ahead: 3,
-        },
-    ]
-}
-
 /// A deterministic workload must commit the same final state on all nine
 /// engines regardless of which bloom core the build dispatches to. Run
 /// with `--features scan-kernel-scalar` this pins the scalar fallback to
@@ -189,7 +168,7 @@ fn nine_engines_agree_under_either_core() {
     const WORDS: u32 = 12;
     const ROUNDS: u64 = 30;
     let mut reference: Option<Vec<u64>> = None;
-    for algo in all_kinds() {
+    for algo in AlgorithmKind::all() {
         let stm = Stm::builder(algo).heap_words(1 << 10).build();
         let arr = stm.alloc(WORDS as usize);
         {

@@ -20,26 +20,6 @@ use rinval::{AlgorithmKind, StarvationConfig, Stm};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
-fn all_kinds() -> [AlgorithmKind; 9] {
-    [
-        AlgorithmKind::CoarseLock,
-        AlgorithmKind::Tml,
-        AlgorithmKind::NOrec,
-        AlgorithmKind::InvalStm,
-        AlgorithmKind::RInvalV1,
-        AlgorithmKind::RInvalV2 { invalidators: 2 },
-        AlgorithmKind::RInvalV3 {
-            invalidators: 2,
-            steps_ahead: 2,
-        },
-        AlgorithmKind::RInvalMV {
-            invalidators: 2,
-            steps_ahead: 2,
-        },
-        AlgorithmKind::Tl2,
-    ]
-}
-
 #[test]
 #[ignore = "long-running; exercised by the CI soak job (RINVAL_SOAK_SECS)"]
 fn mixed_soak_stays_healthy() {
@@ -51,9 +31,9 @@ fn mixed_soak_stays_healthy() {
     // Oversubscribe: twice the hardware parallelism, so yields (the
     // backpressure gate, the spin-budget clamp) actually matter.
     let threads = std::thread::available_parallelism().map_or(4, |n| n.get() * 2);
-    let slice = Duration::from_secs_f64(secs / all_kinds().len() as f64);
+    let slice = Duration::from_secs_f64(secs / AlgorithmKind::all().len() as f64);
 
-    for kind in all_kinds() {
+    for kind in AlgorithmKind::all() {
         let stm = Stm::builder(kind)
             .heap_words(1 << 12)
             .max_threads(threads + 2)

@@ -24,26 +24,6 @@
 use rinval::{AlgorithmKind, PhaseStats, Stm, Topology};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-fn all_kinds() -> [AlgorithmKind; 9] {
-    [
-        AlgorithmKind::CoarseLock,
-        AlgorithmKind::Tml,
-        AlgorithmKind::NOrec,
-        AlgorithmKind::Tl2,
-        AlgorithmKind::InvalStm,
-        AlgorithmKind::RInvalV1,
-        AlgorithmKind::RInvalV2 { invalidators: 2 },
-        AlgorithmKind::RInvalV3 {
-            invalidators: 2,
-            steps_ahead: 3,
-        },
-        AlgorithmKind::RInvalMV {
-            invalidators: 2,
-            steps_ahead: 3,
-        },
-    ]
-}
-
 /// The `tests/dispatch.rs` workload, parameterized by topology. Single
 /// thread, deterministic; returns (final words, thread stats, heap
 /// telemetry).
@@ -105,7 +85,7 @@ fn run_workload(
 fn dispatch_equivalence_under_two_domains() {
     let (ref_words, ref_stats, ref_heap) = run_workload(AlgorithmKind::CoarseLock, None);
     assert!(ref_stats.commits > 0);
-    for algo in all_kinds() {
+    for algo in AlgorithmKind::all() {
         let (words, stats, heap) = run_workload(algo, Some(Topology::logical(2)));
         let name = algo.name();
         assert_eq!(words, ref_words, "{name}@2dom: final heap words diverge");

@@ -14,26 +14,6 @@
 use rinval::AlgorithmKind;
 use svc::chaos::{Episode, PlanSpec, WorkloadKind};
 
-fn all_kinds() -> [AlgorithmKind; 9] {
-    [
-        AlgorithmKind::CoarseLock,
-        AlgorithmKind::Tml,
-        AlgorithmKind::NOrec,
-        AlgorithmKind::InvalStm,
-        AlgorithmKind::RInvalV1,
-        AlgorithmKind::RInvalV2 { invalidators: 2 },
-        AlgorithmKind::RInvalV3 {
-            invalidators: 2,
-            steps_ahead: 2,
-        },
-        AlgorithmKind::RInvalMV {
-            invalidators: 2,
-            steps_ahead: 2,
-        },
-        AlgorithmKind::Tl2,
-    ]
-}
-
 /// Runs the episode twice (each time from a fresh STM and service) and
 /// asserts identical journals and verdicts.
 fn assert_replays(ep: &Episode) {
@@ -69,7 +49,7 @@ fn assert_replays(ep: &Episode) {
 
 #[test]
 fn replay_is_deterministic_across_all_engines() {
-    for kind in all_kinds() {
+    for kind in AlgorithmKind::all() {
         let ep = Episode {
             algo: kind,
             workload: WorkloadKind::Bank,
