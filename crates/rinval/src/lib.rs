@@ -458,7 +458,8 @@ pub(crate) struct StmInner {
     /// Whether commit-latency observations are recorded into
     /// [`stats::ServerCounters::commit_latency`].
     pub(crate) latency_histogram: bool,
-    /// Scan/batch counters maintained by servers and InvalSTM committers.
+    /// Scan/batch counters maintained by servers, InvalSTM committers and
+    /// clients (see the table's writer list).
     pub(crate) server_stats: stats::ServerCounters,
     /// TL2's ownership-record table (present only under `Tl2`).
     pub(crate) orecs: Option<algo::tl2::OrecTable>,

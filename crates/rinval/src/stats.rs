@@ -81,233 +81,302 @@ impl PhaseStats {
     }
 }
 
-/// Shared scan/batch counters maintained by the server threads (and by
-/// InvalSTM committers, which run the same invalidation scan inline).
-///
-/// These make the summary-bitmap optimization *observable*: a full
-/// registry walk would examine `registry.len()` slots per pass, while the
-/// bitmap scans examine only the set bits. Counters are plain relaxed
-/// `fetch_add`s on server-owned cache lines — cheap enough to stay on
-/// unconditionally.
+/// A log₂ latency histogram: bucket `i` counts observations in
+/// `[2^i, 2^(i+1))` nanoseconds (0 ns lands in bucket 0, everything at or
+/// past 2^31 ns in bucket 31). Exactly 32 buckets (≈ 4 s cap), which is
+/// also the widest array the std `Default`/`Eq` impls cover. Every record
+/// is one relaxed `fetch_add`. This is the one histogram in the workspace:
+/// the engine's commit latency and `svc`'s per-endpoint windows both use
+/// it, and [`quantile_ns`] reads its snapshots.
 #[derive(Debug, Default)]
-pub struct ServerCounters {
+pub struct Log2Hist([AtomicU64; 32]);
+
+impl Log2Hist {
+    /// Adds one observation of `ns` nanoseconds.
+    #[inline]
+    pub fn record(&self, ns: u64) {
+        let bucket = (ns.max(1).ilog2() as usize).min(31);
+        self.0[bucket].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The current bucket counts.
+    pub fn snapshot(&self) -> [u64; 32] {
+        std::array::from_fn(|i| self.0[i].load(Ordering::Relaxed))
+    }
+
+    /// The current bucket counts, resetting every bucket to zero.
+    pub fn drain(&self) -> [u64; 32] {
+        std::array::from_fn(|i| self.0[i].swap(0, Ordering::Relaxed))
+    }
+}
+
+/// Bucket-wise difference of two [`Log2Hist`] snapshots (`later -
+/// earlier`), for before/after windows around a measured region.
+pub fn buckets_since(later: &[u64; 32], earlier: &[u64; 32]) -> [u64; 32] {
+    std::array::from_fn(|i| later[i] - earlier[i])
+}
+
+/// The `q`-quantile (`0.0 ..= 1.0`) of a [`Log2Hist`] snapshot in
+/// nanoseconds, as the upper edge of the bucket holding rank
+/// `ceil(q·total)`; `None` when the snapshot is empty. Bucket resolution
+/// makes this exact to within a factor of 2, which is what a log₂
+/// histogram promises.
+pub fn quantile_ns(buckets: &[u64; 32], q: f64) -> Option<u64> {
+    let total: u64 = buckets.iter().sum();
+    if total == 0 {
+        return None;
+    }
+    let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
+    let mut seen = 0u64;
+    for (i, &n) in buckets.iter().enumerate() {
+        seen += n;
+        if seen >= rank {
+            return Some(1u64 << (i as u32 + 1).min(63));
+        }
+    }
+    Some(u64::MAX)
+}
+
+/// Declares a counter table once and generates everything derived from
+/// it: the atomic struct, the plain snapshot struct (same field names and
+/// order), `snapshot()`, `since()` and the relaxed `add` helper.
+///
+/// Each entry is its doc comment, its kind and its name:
+/// - `sum`: an [`AtomicU64`] bumped by `add`; `since` subtracts.
+/// - `max`: an [`AtomicU64`] high-water mark raised by `fetch_max`;
+///   `since` keeps the later mark, since a mark has no meaningful
+///   difference.
+/// - `hist`: a [`Log2Hist`] snapshotting to `[u64; 32]`; `since` diffs
+///   bucket by bucket.
+///
+/// Adding a counter is one entry. Every counter is a statistic, never
+/// synchronization, so every access is relaxed.
+#[macro_export]
+macro_rules! counter_table {
+    (@atomic hist) => { $crate::stats::Log2Hist };
+    (@atomic $kind:ident) => { ::std::sync::atomic::AtomicU64 };
+    (@value hist) => { [u64; 32] };
+    (@value $kind:ident) => { u64 };
+    (@load hist $c:expr) => { $c.snapshot() };
+    (@load $kind:ident $c:expr) => { $c.load(::std::sync::atomic::Ordering::Relaxed) };
+    (@since sum $later:expr, $earlier:expr) => { $later - $earlier };
+    (@since max $later:expr, $earlier:expr) => { $later };
+    (@since hist $later:expr, $earlier:expr) => {
+        $crate::stats::buckets_since(&$later, &$earlier)
+    };
+    (@bump sum $c:expr, $n:expr) => { Self::add(&$c, $n) };
+    (@bump max $c:expr, $n:expr) => {{
+        $c.fetch_max($n, ::std::sync::atomic::Ordering::Relaxed);
+    }};
+    (@bump hist $c:expr, $n:expr) => { (0..$n).for_each(|_| $c.record($n)) };
+    (@count hist $v:expr) => { $v.iter().sum::<u64>() };
+    (@count $kind:ident $v:expr) => { $v };
+    (
+        $(#[$atomic_meta:meta])*
+        $atomic_vis:vis struct $atomic:ident;
+        $(#[$snap_meta:meta])*
+        $snap_vis:vis struct $snap:ident;
+        $( $(#[$meta:meta])* $kind:ident $name:ident; )*
+    ) => {
+        $(#[$atomic_meta])*
+        #[derive(Debug, Default)]
+        $atomic_vis struct $atomic {
+            $( $(#[$meta])* pub $name: $crate::counter_table!(@atomic $kind), )*
+        }
+
+        $(#[$snap_meta])*
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        $snap_vis struct $snap {
+            $( $(#[$meta])* pub $name: $crate::counter_table!(@value $kind), )*
+        }
+
+        impl $atomic {
+            /// Adds `n` to a `sum` counter (relaxed `fetch_add`).
+            #[inline]
+            $atomic_vis fn add(counter: &::std::sync::atomic::AtomicU64, n: u64) {
+                counter.fetch_add(n, ::std::sync::atomic::Ordering::Relaxed);
+            }
+
+            /// A plain-value snapshot of the current counters.
+            $atomic_vis fn snapshot(&self) -> $snap {
+                $snap { $( $name: $crate::counter_table!(@load $kind self.$name), )* }
+            }
+        }
+
+        impl $snap {
+            /// Counter-wise difference (`self - earlier`), for before/after
+            /// windows around a measured region. High-water marks report
+            /// the later window's mark as-is.
+            $snap_vis fn since(&self, earlier: &$snap) -> $snap {
+                $snap {
+                    $( $name: $crate::counter_table!(@since $kind self.$name, earlier.$name), )*
+                }
+            }
+        }
+
+        // Test-only access by name, so one table-driven test per table
+        // covers every entry.
+        #[cfg(test)]
+        impl $atomic {
+            /// `(name, kind)` of every entry, in table order.
+            const ENTRIES: &'static [(&'static str, &'static str)] =
+                &[$((stringify!($name), stringify!($kind))),*];
+
+            /// Bumps entry `name` by `n` the way its kind is bumped:
+            /// `add`, `fetch_max`, or `n` histogram records of `n` ns.
+            fn bump_entry(&self, name: &str, n: u64) {
+                $( if name == stringify!($name) {
+                    return $crate::counter_table!(@bump $kind self.$name, n);
+                } )*
+                panic!("no counter named {name}");
+            }
+        }
+
+        #[cfg(test)]
+        impl $snap {
+            /// Entry `name`'s value (a histogram's observation count).
+            fn entry(&self, name: &str) -> u64 {
+                $( if name == stringify!($name) {
+                    return $crate::counter_table!(@count $kind self.$name);
+                } )*
+                panic!("no counter named {name}");
+            }
+        }
+    };
+}
+
+counter_table! {
+    /// Shared scan/batch counters for one [`crate::Stm`], one table entry
+    /// each. Every entry is a plain relaxed `fetch_add`/`fetch_max` —
+    /// cheap enough to stay on unconditionally.
+    ///
+    /// These make the summary-bitmap optimization *observable*: a full
+    /// registry walk would examine `registry.len()` slots per pass, while
+    /// the bitmap scans examine only the set bits.
+    ///
+    /// Writers: these are *not* server-owned cache lines. The struct is one
+    /// unpadded block that servers and clients both write. The server
+    /// threads bump most entries. Client threads bump these on their own
+    /// paths:
+    /// - `backpressure_delays` and `streak_high_water` (begin and abort);
+    /// - `timed_out_requests`, `timeout_withdrawals` and
+    ///   `withdrawn_requests` (deadline and withdrawal);
+    /// - `ro_snapshot_commits`, `ring_misses` and `ro_promotions` (the
+    ///   multi-version snapshot path);
+    /// - `commit_latency` (when enabled) and, under the seqlock engines,
+    ///   `irrevocable_grants`.
+    ///
+    /// InvalSTM committers run the invalidation scan inline, so under
+    /// InvalSTM the scan, doom, domain and refusal entries are
+    /// client-written too.
+    pub struct ServerCounters;
+
+    /// Point-in-time snapshot of [`ServerCounters`]; see
+    /// [`crate::Stm::server_stats`].
+    pub struct ServerStats;
+
     /// Commit-server passes over the `pending` summary map.
-    pub scan_passes: AtomicU64,
+    sum scan_passes;
     /// Commit-server passes that found no request to process.
-    pub empty_passes: AtomicU64,
+    sum empty_passes;
     /// Slots actually examined by commit-server passes (set `pending` bits).
-    pub slots_visited: AtomicU64,
+    sum slots_visited;
     /// Invalidation scans over the `live` summary map.
-    pub inval_scans: AtomicU64,
+    sum inval_scans;
     /// Slots actually examined by invalidation and census scans (set
     /// `live` bits).
-    pub inval_slots_visited: AtomicU64,
+    sum inval_slots_visited;
     /// Commit-admission census walks over the `live` summary map
     /// (DESIGN.md §13). Counted apart from `inval_scans` so
     /// `inval_words_scanned / inval_scans` stays an exact per-scan word
     /// footprint — a census walk dooms nothing, its word traffic lands in
     /// `census_words_scanned`, and how often aging arms it depends on
     /// contention timing.
-    pub census_scans: AtomicU64,
+    sum census_scans;
     /// Summary-bitmap words examined by census walks — the census-side
     /// twin of `inval_words_scanned`, recorded by the shared scan kernel
     /// (`scan.rs`) so all scan sites account word traffic identically.
-    pub census_words_scanned: AtomicU64,
+    sum census_words_scanned;
     /// Commit batches processed by the commit-server (each batch = one
     /// timestamp bump; always one request under V2/V3/MV).
-    pub batches: AtomicU64,
+    sum batches;
     /// Commit requests answered through batches (`batched_requests /
     /// batches` = mean batch size).
-    pub batched_requests: AtomicU64,
+    sum batched_requests;
     /// Watchdog intervals in which a server with outstanding work made no
     /// heartbeat progress.
-    pub heartbeat_misses: AtomicU64,
+    sum heartbeat_misses;
     /// Dead server threads respawned by the watchdog.
-    pub respawns: AtomicU64,
+    sum respawns;
     /// Times the instance degraded from a remote engine to InvalSTM.
-    pub degradations: AtomicU64,
+    sum degradations;
     /// Client commit requests that hit a [`crate::TxError::Timeout`]
     /// deadline while waiting for a server verdict.
-    pub timed_out_requests: AtomicU64,
+    sum timed_out_requests;
     /// Bounded runs cut short by their deadline: up-front fast-fails of
     /// [`crate::ThreadHandle::try_run_for`] with an already-expired
     /// deadline (no attempt runs, no backpressure gate entered) plus
     /// posted commit requests a client retracted when its deadline
     /// expired mid-wait.
-    pub timeout_withdrawals: AtomicU64,
+    sum timeout_withdrawals;
     /// Posted requests withdrawn by clients (deadline, degradation or
     /// handle teardown) before a server claimed them.
-    pub withdrawn_requests: AtomicU64,
+    sum withdrawn_requests;
     /// Outstanding requests answered with an abort verdict by shutdown or
     /// crash-recovery drains rather than by normal server processing.
-    pub drained_requests: AtomicU64,
+    sum drained_requests;
     /// Live transactions doomed by admitted commits (every invalidation
     /// path). `txs_doomed / commits` is the doom rate the backpressure
     /// gate watches.
-    pub txs_doomed: AtomicU64,
+    sum txs_doomed;
     /// Commits refused because a conflicting live transaction preceded
     /// the committer in the starvation order (DESIGN.md §13); each refusal
     /// raised the committer's inherited priority.
-    pub priority_refusals: AtomicU64,
+    sum priority_refusals;
     /// Irrevocable-token grants (server- or seqlock-side).
-    pub irrevocable_grants: AtomicU64,
+    sum irrevocable_grants;
     /// Begins delayed by the overload admission gate.
-    pub backpressure_delays: AtomicU64,
+    sum backpressure_delays;
     /// Highest abort streak any transaction reached (`fetch_max`, so the
     /// mark survives the streak's own reset on commit).
-    pub streak_high_water: AtomicU64,
+    max streak_high_water;
     /// Read-only transactions committed straight off their begin snapshot
     /// (multi-version engines; no validation, no server round-trip).
-    pub ro_snapshot_commits: AtomicU64,
+    sum ro_snapshot_commits;
     /// Snapshot reads that found the version ring overwritten past the
     /// snapshot and fell back to revalidation.
-    pub ring_misses: AtomicU64,
+    sum ring_misses;
     /// Snapshot transactions promoted to the full write protocol on their
     /// first write.
-    pub ro_promotions: AtomicU64,
+    sum ro_promotions;
     /// Write commits whose write/free set stayed inside the committer's
     /// home topology domain (always every commit with a single domain).
-    pub local_commits: AtomicU64,
+    sum local_commits;
     /// Write commits that touched words outside the committer's home
     /// domain (0 with a single domain).
-    pub cross_domain_commits: AtomicU64,
+    sum cross_domain_commits;
     /// Live transactions doomed by a committer homed in a *different*
     /// domain — the interconnect traffic domain sharding exists to shrink.
-    pub cross_domain_invalidations: AtomicU64,
+    sum cross_domain_invalidations;
     /// Summary-bitmap words examined by invalidation scans. Under domain
     /// sharding each server walks only its served domains' words, so
     /// `inval_words_scanned / inval_scans` drops with the domain count
     /// (the `bench/benches/topology.rs` gate).
-    pub inval_words_scanned: AtomicU64,
+    sum inval_words_scanned;
     /// log₂ commit-latency histogram: bucket `i` counts commits whose
     /// attempt latency fell in `[2^i, 2^(i+1))` nanoseconds. Recording is
     /// opt-in ([`crate::StmBuilder::latency_histogram`]) — it costs two
     /// `Instant::now()` calls per commit. Exactly 32 buckets (≈ 4 s cap),
     /// which is also the widest array the std `Default`/`Eq` impls cover.
-    pub commit_latency: [AtomicU64; 32],
+    hist commit_latency;
 }
 
 impl ServerCounters {
-    #[inline]
-    pub(crate) fn add(counter: &AtomicU64, n: u64) {
-        counter.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Raises `counter` to at least `n` (relaxed `fetch_max`).
+    /// Raises a `max` counter to at least `n` (relaxed `fetch_max`).
     #[inline]
     pub(crate) fn raise(counter: &AtomicU64, n: u64) {
         counter.fetch_max(n, Ordering::Relaxed);
     }
-
-    /// Adds one commit latency observation to the log₂ histogram.
-    #[inline]
-    pub(crate) fn record_latency_ns(&self, ns: u64) {
-        let bucket = (ns.max(1).ilog2() as usize).min(31);
-        self.commit_latency[bucket].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A plain-value snapshot of the current counters.
-    pub fn snapshot(&self) -> ServerStats {
-        ServerStats {
-            scan_passes: self.scan_passes.load(Ordering::Relaxed),
-            empty_passes: self.empty_passes.load(Ordering::Relaxed),
-            slots_visited: self.slots_visited.load(Ordering::Relaxed),
-            inval_scans: self.inval_scans.load(Ordering::Relaxed),
-            inval_slots_visited: self.inval_slots_visited.load(Ordering::Relaxed),
-            census_scans: self.census_scans.load(Ordering::Relaxed),
-            census_words_scanned: self.census_words_scanned.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            batched_requests: self.batched_requests.load(Ordering::Relaxed),
-            heartbeat_misses: self.heartbeat_misses.load(Ordering::Relaxed),
-            respawns: self.respawns.load(Ordering::Relaxed),
-            degradations: self.degradations.load(Ordering::Relaxed),
-            timed_out_requests: self.timed_out_requests.load(Ordering::Relaxed),
-            timeout_withdrawals: self.timeout_withdrawals.load(Ordering::Relaxed),
-            withdrawn_requests: self.withdrawn_requests.load(Ordering::Relaxed),
-            drained_requests: self.drained_requests.load(Ordering::Relaxed),
-            txs_doomed: self.txs_doomed.load(Ordering::Relaxed),
-            priority_refusals: self.priority_refusals.load(Ordering::Relaxed),
-            irrevocable_grants: self.irrevocable_grants.load(Ordering::Relaxed),
-            backpressure_delays: self.backpressure_delays.load(Ordering::Relaxed),
-            streak_high_water: self.streak_high_water.load(Ordering::Relaxed),
-            ro_snapshot_commits: self.ro_snapshot_commits.load(Ordering::Relaxed),
-            ring_misses: self.ring_misses.load(Ordering::Relaxed),
-            ro_promotions: self.ro_promotions.load(Ordering::Relaxed),
-            local_commits: self.local_commits.load(Ordering::Relaxed),
-            cross_domain_commits: self.cross_domain_commits.load(Ordering::Relaxed),
-            cross_domain_invalidations: self.cross_domain_invalidations.load(Ordering::Relaxed),
-            inval_words_scanned: self.inval_words_scanned.load(Ordering::Relaxed),
-            commit_latency: std::array::from_fn(|i| self.commit_latency[i].load(Ordering::Relaxed)),
-        }
-    }
-}
-
-/// Point-in-time snapshot of [`ServerCounters`]; see
-/// [`crate::Stm::server_stats`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ServerStats {
-    /// Commit-server passes over the `pending` summary map.
-    pub scan_passes: u64,
-    /// Passes that found no request to process.
-    pub empty_passes: u64,
-    /// Slots examined by commit-server passes.
-    pub slots_visited: u64,
-    /// Invalidation scans over the `live` summary map.
-    pub inval_scans: u64,
-    /// Slots examined by invalidation and census scans.
-    pub inval_slots_visited: u64,
-    /// Commit-admission census walks (doom nothing; their word traffic is
-    /// `census_words_scanned`).
-    pub census_scans: u64,
-    /// Summary-bitmap words examined by census walks.
-    pub census_words_scanned: u64,
-    /// Commit batches processed (one timestamp bump each).
-    pub batches: u64,
-    /// Commit requests answered through batches.
-    pub batched_requests: u64,
-    /// Watchdog intervals with a silent-but-busy server.
-    pub heartbeat_misses: u64,
-    /// Dead server threads respawned by the watchdog.
-    pub respawns: u64,
-    /// Remote-engine → InvalSTM degradations.
-    pub degradations: u64,
-    /// Client requests that hit their wait deadline.
-    pub timed_out_requests: u64,
-    /// Bounded runs cut short at their deadline (up-front expired-deadline
-    /// fast-fails plus deadline-time request retractions).
-    pub timeout_withdrawals: u64,
-    /// Posted requests withdrawn by clients before server pickup.
-    pub withdrawn_requests: u64,
-    /// Requests answered with aborts by shutdown/recovery drains.
-    pub drained_requests: u64,
-    /// Live transactions doomed by admitted commits.
-    pub txs_doomed: u64,
-    /// Commits refused in favour of a preceding live transaction.
-    pub priority_refusals: u64,
-    /// Irrevocable-token grants.
-    pub irrevocable_grants: u64,
-    /// Begins delayed by the overload admission gate.
-    pub backpressure_delays: u64,
-    /// Highest abort streak any transaction reached.
-    pub streak_high_water: u64,
-    /// Read-only transactions committed straight off their begin snapshot.
-    pub ro_snapshot_commits: u64,
-    /// Snapshot reads that fell off the version ring into revalidation.
-    pub ring_misses: u64,
-    /// Snapshot transactions promoted to the write protocol.
-    pub ro_promotions: u64,
-    /// Write commits confined to the committer's home domain.
-    pub local_commits: u64,
-    /// Write commits that touched other domains' words.
-    pub cross_domain_commits: u64,
-    /// Transactions doomed by a committer from another domain.
-    pub cross_domain_invalidations: u64,
-    /// Summary-bitmap words examined by invalidation scans.
-    pub inval_words_scanned: u64,
-    /// log₂ commit-latency histogram (bucket `i` = `[2^i, 2^(i+1))` ns);
-    /// all-zero unless the instance was built with
-    /// [`crate::StmBuilder::latency_histogram`].
-    pub commit_latency: [u64; 32],
 }
 
 impl ServerStats {
@@ -362,47 +431,6 @@ impl ServerStats {
         }
     }
 
-    /// Counter-wise difference (`self - earlier`), for before/after
-    /// windows around a measured region.
-    pub fn since(&self, earlier: &ServerStats) -> ServerStats {
-        ServerStats {
-            scan_passes: self.scan_passes - earlier.scan_passes,
-            empty_passes: self.empty_passes - earlier.empty_passes,
-            slots_visited: self.slots_visited - earlier.slots_visited,
-            inval_scans: self.inval_scans - earlier.inval_scans,
-            inval_slots_visited: self.inval_slots_visited - earlier.inval_slots_visited,
-            census_scans: self.census_scans - earlier.census_scans,
-            census_words_scanned: self.census_words_scanned - earlier.census_words_scanned,
-            batches: self.batches - earlier.batches,
-            batched_requests: self.batched_requests - earlier.batched_requests,
-            heartbeat_misses: self.heartbeat_misses - earlier.heartbeat_misses,
-            respawns: self.respawns - earlier.respawns,
-            degradations: self.degradations - earlier.degradations,
-            timed_out_requests: self.timed_out_requests - earlier.timed_out_requests,
-            timeout_withdrawals: self.timeout_withdrawals - earlier.timeout_withdrawals,
-            withdrawn_requests: self.withdrawn_requests - earlier.withdrawn_requests,
-            drained_requests: self.drained_requests - earlier.drained_requests,
-            txs_doomed: self.txs_doomed - earlier.txs_doomed,
-            priority_refusals: self.priority_refusals - earlier.priority_refusals,
-            irrevocable_grants: self.irrevocable_grants - earlier.irrevocable_grants,
-            backpressure_delays: self.backpressure_delays - earlier.backpressure_delays,
-            // A high-water mark has no meaningful difference; report the
-            // later window's mark as-is.
-            streak_high_water: self.streak_high_water,
-            ro_snapshot_commits: self.ro_snapshot_commits - earlier.ro_snapshot_commits,
-            ring_misses: self.ring_misses - earlier.ring_misses,
-            ro_promotions: self.ro_promotions - earlier.ro_promotions,
-            local_commits: self.local_commits - earlier.local_commits,
-            cross_domain_commits: self.cross_domain_commits - earlier.cross_domain_commits,
-            cross_domain_invalidations: self.cross_domain_invalidations
-                - earlier.cross_domain_invalidations,
-            inval_words_scanned: self.inval_words_scanned - earlier.inval_words_scanned,
-            commit_latency: std::array::from_fn(|i| {
-                self.commit_latency[i] - earlier.commit_latency[i]
-            }),
-        }
-    }
-
     /// True once the instance has degraded off its nominal algorithm — the
     /// soak job's health assertion.
     pub fn degraded(&self) -> bool {
@@ -411,22 +439,9 @@ impl ServerStats {
 
     /// The `q`-quantile (`0.0 ..= 1.0`) of the commit-latency histogram in
     /// nanoseconds, as the upper edge of the bucket containing it; `None`
-    /// when no latencies were recorded. Bucket resolution makes this exact
-    /// to within a factor of 2, which is what a log₂ histogram promises.
+    /// when no latencies were recorded (see [`quantile_ns`]).
     pub fn latency_quantile_ns(&self, q: f64) -> Option<u64> {
-        let total: u64 = self.commit_latency.iter().sum();
-        if total == 0 {
-            return None;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, &n) in self.commit_latency.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                return Some(1u64 << (i as u32 + 1).min(63));
-            }
-        }
-        Some(u64::MAX)
+        quantile_ns(&self.commit_latency, q)
     }
 
     /// True when any recovery-path counter is nonzero — a quick flag for
@@ -567,23 +582,51 @@ mod tests {
     }
 
     #[test]
-    fn server_counters_snapshot_and_derived() {
+    fn counter_table_snapshots_and_diffs_every_entry() {
+        let c = ServerCounters::default();
+        // A distinct amount per entry, so two crossed entries would show.
+        // The second bump lowers nothing: a `max` entry is raised by less
+        // than its mark, so the mark must carry over into `since`.
+        let first = |i: usize| 10 + i as u64;
+        let second = |i: usize, kind: &str| if kind == "max" { 1 } else { 100 + i as u64 };
+        for (i, &(name, _)) in ServerCounters::ENTRIES.iter().enumerate() {
+            c.bump_entry(name, first(i));
+        }
+        let s = c.snapshot();
+        for (i, &(name, kind)) in ServerCounters::ENTRIES.iter().enumerate() {
+            assert_eq!(s.entry(name), first(i), "{name}: snapshot");
+            c.bump_entry(name, second(i, kind));
+        }
+        let d = c.snapshot().since(&s);
+        for (i, &(name, kind)) in ServerCounters::ENTRIES.iter().enumerate() {
+            let want = if kind == "max" {
+                first(i)
+            } else {
+                second(i, kind)
+            };
+            assert_eq!(d.entry(name), want, "{name}: since");
+        }
+        assert_eq!(ServerCounters::ENTRIES.len(), 29);
+    }
+
+    #[test]
+    fn derived_metrics() {
         let c = ServerCounters::default();
         ServerCounters::add(&c.scan_passes, 10);
         ServerCounters::add(&c.slots_visited, 25);
-        ServerCounters::add(&c.empty_passes, 4);
         ServerCounters::add(&c.batches, 2);
         ServerCounters::add(&c.batched_requests, 6);
+        ServerCounters::add(&c.inval_scans, 4);
+        ServerCounters::add(&c.inval_words_scanned, 8);
+        ServerCounters::add(&c.census_scans, 4);
+        ServerCounters::add(&c.census_words_scanned, 10);
         let s = c.snapshot();
-        assert_eq!(s.scan_passes, 10);
         assert_eq!(s.full_scan_equivalent(128), 1280);
+        assert_eq!(s.full_inval_equivalent(128), 512);
         assert!((s.visited_per_pass() - 2.5).abs() < 1e-12);
         assert!((s.mean_batch_size() - 3.0).abs() < 1e-12);
-
-        ServerCounters::add(&c.scan_passes, 5);
-        let d = c.snapshot().since(&s);
-        assert_eq!(d.scan_passes, 5);
-        assert_eq!(d.slots_visited, 0);
+        assert!((s.words_per_inval_scan() - 2.0).abs() < 1e-12);
+        assert!((s.words_per_census_scan() - 2.5).abs() < 1e-12);
     }
 
     #[test]
@@ -591,89 +634,8 @@ mod tests {
         let s = ServerStats::default();
         assert_eq!(s.visited_per_pass(), 0.0);
         assert_eq!(s.mean_batch_size(), 0.0);
-    }
-
-    #[test]
-    fn fairness_counters_snapshot_and_since() {
-        let c = ServerCounters::default();
-        ServerCounters::add(&c.txs_doomed, 5);
-        ServerCounters::add(&c.priority_refusals, 2);
-        ServerCounters::add(&c.irrevocable_grants, 1);
-        ServerCounters::add(&c.backpressure_delays, 3);
-        ServerCounters::raise(&c.streak_high_water, 9);
-        ServerCounters::raise(&c.streak_high_water, 4); // must not lower it
-        let s = c.snapshot();
-        assert_eq!(s.txs_doomed, 5);
-        assert_eq!(s.priority_refusals, 2);
-        assert_eq!(s.irrevocable_grants, 1);
-        assert_eq!(s.backpressure_delays, 3);
-        assert_eq!(s.streak_high_water, 9);
-        assert!(!s.degraded());
-
-        ServerCounters::add(&c.txs_doomed, 2);
-        let d = c.snapshot().since(&s);
-        assert_eq!(d.txs_doomed, 2);
-        assert_eq!(d.priority_refusals, 0);
-        assert_eq!(d.streak_high_water, 9, "high-water mark carries over");
-    }
-
-    #[test]
-    fn snapshot_counters_snapshot_and_since() {
-        let c = ServerCounters::default();
-        ServerCounters::add(&c.ro_snapshot_commits, 6);
-        ServerCounters::add(&c.ring_misses, 2);
-        ServerCounters::add(&c.ro_promotions, 1);
-        let s = c.snapshot();
-        assert_eq!(s.ro_snapshot_commits, 6);
-        assert_eq!(s.ring_misses, 2);
-        assert_eq!(s.ro_promotions, 1);
-
-        ServerCounters::add(&c.ro_snapshot_commits, 3);
-        let d = c.snapshot().since(&s);
-        assert_eq!(d.ro_snapshot_commits, 3);
-        assert_eq!(d.ring_misses, 0);
-        assert_eq!(d.ro_promotions, 0);
-    }
-
-    #[test]
-    fn topology_counters_snapshot_and_since() {
-        let c = ServerCounters::default();
-        ServerCounters::add(&c.local_commits, 7);
-        ServerCounters::add(&c.cross_domain_commits, 3);
-        ServerCounters::add(&c.cross_domain_invalidations, 2);
-        ServerCounters::add(&c.inval_scans, 4);
-        ServerCounters::add(&c.inval_words_scanned, 8);
-        let s = c.snapshot();
-        assert_eq!(s.local_commits, 7);
-        assert_eq!(s.cross_domain_commits, 3);
-        assert_eq!(s.cross_domain_invalidations, 2);
-        assert_eq!(s.inval_words_scanned, 8);
-        assert!((s.words_per_inval_scan() - 2.0).abs() < 1e-12);
-        assert_eq!(ServerStats::default().words_per_inval_scan(), 0.0);
-
-        ServerCounters::add(&c.cross_domain_commits, 1);
-        let d = c.snapshot().since(&s);
-        assert_eq!(d.cross_domain_commits, 1);
-        assert_eq!(d.local_commits, 0);
-        assert_eq!(d.cross_domain_invalidations, 0);
-        assert_eq!(d.inval_words_scanned, 0);
-    }
-
-    #[test]
-    fn census_word_counters_snapshot_and_since() {
-        let c = ServerCounters::default();
-        ServerCounters::add(&c.census_scans, 4);
-        ServerCounters::add(&c.census_words_scanned, 10);
-        let s = c.snapshot();
-        assert_eq!(s.census_scans, 4);
-        assert_eq!(s.census_words_scanned, 10);
-        assert!((s.words_per_census_scan() - 2.5).abs() < 1e-12);
-        assert_eq!(ServerStats::default().words_per_census_scan(), 0.0);
-
-        ServerCounters::add(&c.census_words_scanned, 6);
-        let d = c.snapshot().since(&s);
-        assert_eq!(d.census_scans, 0);
-        assert_eq!(d.census_words_scanned, 6);
+        assert_eq!(s.words_per_inval_scan(), 0.0);
+        assert_eq!(s.words_per_census_scan(), 0.0);
     }
 
     #[test]
@@ -682,10 +644,10 @@ mod tests {
         assert_eq!(c.snapshot().latency_quantile_ns(0.5), None);
         // 0/1 ns land in bucket 0; 1000 ns in bucket 9; huge values clamp
         // into the last bucket.
-        c.record_latency_ns(0);
-        c.record_latency_ns(1);
-        c.record_latency_ns(1000);
-        c.record_latency_ns(u64::MAX);
+        c.commit_latency.record(0);
+        c.commit_latency.record(1);
+        c.commit_latency.record(1000);
+        c.commit_latency.record(u64::MAX);
         let s = c.snapshot();
         assert_eq!(s.commit_latency[0], 2);
         assert_eq!(s.commit_latency[9], 1);
@@ -695,52 +657,43 @@ mod tests {
         assert_eq!(s.latency_quantile_ns(0.5), Some(2));
         assert_eq!(s.latency_quantile_ns(0.99), Some(1u64 << 32));
         assert_eq!(s.latency_quantile_ns(0.0), Some(2));
+        // `since` diffs bucket by bucket.
+        c.commit_latency.record(1000);
+        let d = c.snapshot().since(&s);
+        assert_eq!(d.commit_latency[9], 1);
+        assert_eq!(d.commit_latency.iter().sum::<u64>(), 1);
+        assert_eq!(d.latency_quantile_ns(0.5), Some(1024));
+        // Draining hands over the counts and leaves the buckets empty.
+        let held = c.commit_latency.snapshot();
+        assert_eq!(c.commit_latency.drain(), held);
+        assert_eq!(quantile_ns(&c.commit_latency.snapshot(), 0.5), None);
     }
 
     #[test]
-    fn degraded_flag_tracks_degradations() {
+    fn health_flags() {
         let c = ServerCounters::default();
         assert!(!c.snapshot().degraded());
-        ServerCounters::add(&c.degradations, 1);
-        assert!(c.snapshot().degraded());
-    }
-
-    #[test]
-    fn watchdog_counters_snapshot_and_since() {
-        let c = ServerCounters::default();
-        ServerCounters::add(&c.heartbeat_misses, 3);
-        ServerCounters::add(&c.respawns, 1);
-        ServerCounters::add(&c.degradations, 1);
-        ServerCounters::add(&c.timed_out_requests, 2);
-        ServerCounters::add(&c.timeout_withdrawals, 5);
-        ServerCounters::add(&c.withdrawn_requests, 2);
-        ServerCounters::add(&c.drained_requests, 4);
-        let s = c.snapshot();
-        assert_eq!(s.heartbeat_misses, 3);
-        assert_eq!(s.respawns, 1);
-        assert_eq!(s.degradations, 1);
-        assert_eq!(s.timed_out_requests, 2);
-        assert_eq!(s.timeout_withdrawals, 5);
-        assert_eq!(s.withdrawn_requests, 2);
-        assert_eq!(s.drained_requests, 4);
-        assert!(s.any_recovery_activity());
-        assert!(!ServerStats::default().any_recovery_activity());
+        assert!(!c.snapshot().any_recovery_activity());
         // Sub-threshold heartbeat misses alone are scheduling noise, not
         // recovery activity.
-        let noisy = ServerCounters::default();
-        ServerCounters::add(&noisy.heartbeat_misses, 7);
-        assert!(!noisy.snapshot().any_recovery_activity());
-
-        ServerCounters::add(&c.respawns, 2);
-        let d = c.snapshot().since(&s);
-        assert_eq!(d.respawns, 2);
-        assert_eq!(d.heartbeat_misses, 0);
-        assert_eq!(d.timeout_withdrawals, 0);
-
-        // A deadline fast-fail alone is recovery activity (a bounded-wait
-        // escape fired).
-        let t = ServerCounters::default();
-        ServerCounters::add(&t.timeout_withdrawals, 1);
-        assert!(t.snapshot().any_recovery_activity());
+        ServerCounters::add(&c.heartbeat_misses, 7);
+        assert!(!c.snapshot().any_recovery_activity());
+        ServerCounters::add(&c.degradations, 1);
+        assert!(c.snapshot().degraded());
+        assert!(c.snapshot().any_recovery_activity());
+        // Each other recovery counter alone is recovery activity; a
+        // deadline fast-fail counts (a bounded-wait escape fired).
+        for name in [
+            "respawns",
+            "timed_out_requests",
+            "timeout_withdrawals",
+            "withdrawn_requests",
+            "drained_requests",
+        ] {
+            let t = ServerCounters::default();
+            t.bump_entry(name, 1);
+            assert!(t.snapshot().any_recovery_activity());
+            assert!(!t.snapshot().degraded());
+        }
     }
 }

@@ -348,7 +348,8 @@ impl<'a> ThreadHandle<'a> {
                 if let (Some(t0), Ok(())) = (lat, &r) {
                     tx.stm
                         .server_stats
-                        .record_latency_ns(t0.elapsed().as_nanos() as u64);
+                        .commit_latency
+                        .record(t0.elapsed().as_nanos() as u64);
                 }
                 p.stop(&mut tx.stats.commit);
                 r.map(|()| v)

@@ -50,7 +50,7 @@ pub use stats::SvcStats;
 use mailbox::{Envelope, Mailbox, ReplySlot};
 use rinval::faults::site;
 use rinval::{FaultAction, Stm, TxError, TxResult, Txn};
-use stats::{bump, Counters, WindowHist};
+use stats::{Counters, WindowHist};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::{Scope, ScopedJoinHandle};
@@ -342,15 +342,15 @@ impl Frontend<'_, '_> {
         match sh.stm.faults().hit(site::SVC_ENQUEUE) {
             Some(FaultAction::Fail) => {
                 // Injected admission failure: looks exactly like load shed.
-                bump(&sh.counters.enqueue_faults);
+                Counters::add(&sh.counters.enqueue_faults, 1);
                 return Err(SvcError::RetryAfter);
             }
             Some(FaultAction::Exit) => {
                 // Accept-then-drop: the request vanishes after the client
                 // believes it was submitted, so it can only time out.
-                bump(&sh.counters.enqueue_drops);
+                Counters::add(&sh.counters.enqueue_drops, 1);
                 std::thread::sleep(deadline.saturating_duration_since(Instant::now()));
-                bump(&sh.counters.client_timeouts);
+                Counters::add(&sh.counters.client_timeouts, 1);
                 return Err(SvcError::Timeout);
             }
             Some(FaultAction::Delay(d)) => std::thread::sleep(d),
@@ -364,13 +364,13 @@ impl Frontend<'_, '_> {
         };
         let w = (req.client as usize) % sh.cfg.workers;
         if sh.mailboxes[w].try_push(env).is_err() {
-            bump(&sh.counters.rejected_full);
+            Counters::add(&sh.counters.rejected_full, 1);
             return Err(SvcError::RetryAfter);
         }
-        bump(&sh.counters.accepted);
+        Counters::add(&sh.counters.accepted, 1);
         let out = reply.wait(deadline);
         if out == Err(SvcError::Timeout) {
-            bump(&sh.counters.client_timeouts);
+            Counters::add(&sh.counters.client_timeouts, 1);
         }
         out
     }
@@ -395,7 +395,7 @@ impl Frontend<'_, '_> {
 
     /// Lifetime latency quantile for one endpoint (upper bucket edge, ns).
     pub fn endpoint_quantile_ns(&self, endpoint: u8, q: f64) -> Option<u64> {
-        stats::quantile_ns(&self.shared.hists[endpoint as usize].lifetime(), q)
+        rinval::stats::quantile_ns(&self.shared.hists[endpoint as usize].lifetime(), q)
     }
 
     /// The cached p50/p99 of the endpoint's most recent full latency
@@ -493,9 +493,9 @@ fn supervise<'scope>(s: &'scope Scope<'scope, '_>, sh: &'scope Shared<'_>) {
                 // Err = panic (unwind contained here), Ok = injected exit.
                 let _ = slot.take().unwrap().join();
                 if !shutting_down {
-                    bump(&sh.counters.worker_deaths);
+                    Counters::add(&sh.counters.worker_deaths, 1);
                     if sh.cfg.respawn_workers {
-                        bump(&sh.counters.worker_respawns);
+                        Counters::add(&sh.counters.worker_respawns, 1);
                         *slot = Some(spawn(w));
                     }
                 }
@@ -515,7 +515,7 @@ fn supervise<'scope>(s: &'scope Scope<'scope, '_>, sh: &'scope Shared<'_>) {
     for mb in &sh.mailboxes {
         for env in mb.drain() {
             if env.reply.deliver(Err(SvcError::Shutdown)) {
-                bump(&sh.counters.shutdown_replies);
+                Counters::add(&sh.counters.shutdown_replies, 1);
             }
         }
     }
@@ -557,7 +557,7 @@ fn process(sh: &Shared<'_>, th: &mut rinval::ThreadHandle<'_>, env: Envelope) {
     if now >= env.deadline {
         // The client is already gone (its wait and this check share one
         // clock); answer Timeout without burning a transaction on it.
-        bump(&sh.counters.expired_on_dequeue);
+        Counters::add(&sh.counters.expired_on_dequeue, 1);
         deliver(sh, &env, Err(SvcError::Timeout));
         return;
     }
@@ -568,12 +568,12 @@ fn process(sh: &Shared<'_>, th: &mut rinval::ThreadHandle<'_>, env: Envelope) {
         let req = env.req;
         let v = th.run_ro(|tx| sh.workload.query(tx, &req));
         sh.hists[req.endpoint as usize].record(started.elapsed(), sh.now_ns());
-        bump(&sh.counters.executed_reads);
+        Counters::add(&sh.counters.executed_reads, 1);
         deliver(sh, &env, Ok(v));
         return;
     }
     if sh.should_shed_write() {
-        bump(&sh.counters.shed_writes);
+        Counters::add(&sh.counters.shed_writes, 1);
         deliver(sh, &env, Err(SvcError::RetryAfter));
         return;
     }
@@ -586,11 +586,11 @@ fn process(sh: &Shared<'_>, th: &mut rinval::ThreadHandle<'_>, env: Envelope) {
     match res {
         Ok((val, fresh)) => {
             sh.hists[req.endpoint as usize].record(started.elapsed(), sh.now_ns());
-            bump(&sh.counters.executed_writes);
+            Counters::add(&sh.counters.executed_writes, 1);
             if !fresh {
-                bump(&sh.counters.dedup_hits);
+                Counters::add(&sh.counters.dedup_hits, 1);
                 if val == STALE_DUPLICATE {
-                    bump(&sh.counters.stale_duplicates);
+                    Counters::add(&sh.counters.stale_duplicates, 1);
                 }
             } else {
                 // The commit is durable; the reply is not. This is the
@@ -603,7 +603,7 @@ fn process(sh: &Shared<'_>, th: &mut rinval::ThreadHandle<'_>, env: Envelope) {
                         panic!("svc: injected crash between commit and reply")
                     }
                     Some(FaultAction::Exit) => {
-                        bump(&sh.counters.dropped_replies);
+                        Counters::add(&sh.counters.dropped_replies, 1);
                         return;
                     }
                     Some(FaultAction::Delay(d)) => std::thread::sleep(d),
@@ -613,7 +613,7 @@ fn process(sh: &Shared<'_>, th: &mut rinval::ThreadHandle<'_>, env: Envelope) {
             deliver(sh, &env, Ok(val));
         }
         Err(TxError::Timeout) => {
-            bump(&sh.counters.exec_timeouts);
+            Counters::add(&sh.counters.exec_timeouts, 1);
             deliver(sh, &env, Err(SvcError::Timeout));
         }
         // `try_run_for` retries aborts internally; an Aborted verdict can
@@ -625,6 +625,6 @@ fn process(sh: &Shared<'_>, th: &mut rinval::ThreadHandle<'_>, env: Envelope) {
 
 fn deliver(sh: &Shared<'_>, env: &Envelope, outcome: Result<u64, SvcError>) {
     if !env.reply.deliver(outcome) {
-        bump(&sh.counters.late_replies);
+        Counters::add(&sh.counters.late_replies, 1);
     }
 }

@@ -19,6 +19,7 @@
 
 use crate::{Request, SvcConfig, SvcError, SvcStats, Workload};
 use rinval::faults::site;
+use rinval::stats::{buckets_since, quantile_ns};
 use rinval::{FaultAction, ServerStats, Stm};
 use stamp::SplitMix;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -305,20 +306,19 @@ pub fn run(
                     }
                     // Recovery watch: sample the write-endpoint latency
                     // deltas until their p99 dips under the SLO.
+                    let write_buckets = || -> [u64; 32] {
+                        let hists: Vec<_> =
+                            weps.iter().map(|&e| front.endpoint_latency(e).0).collect();
+                        std::array::from_fn(|i| hists.iter().map(|h| h[i]).sum())
+                    };
                     let disarmed = Instant::now();
-                    let mut prev: Vec<[u64; 32]> =
-                        weps.iter().map(|&e| front.endpoint_latency(e).0).collect();
+                    let mut prev = write_buckets();
                     while disarmed.elapsed() <= chaos.recovery_window {
                         std::thread::sleep(Duration::from_millis(20));
-                        let mut delta = [0u64; 32];
-                        for (j, &e) in weps.iter().enumerate() {
-                            let cur = front.endpoint_latency(e).0;
-                            for i in 0..32 {
-                                delta[i] += cur[i] - prev[j][i];
-                            }
-                            prev[j] = cur;
-                        }
-                        match crate::stats::quantile_ns(&delta, 0.99) {
+                        let cur = write_buckets();
+                        let delta = buckets_since(&cur, &prev);
+                        prev = cur;
+                        match quantile_ns(&delta, 0.99) {
                             Some(p99) if p99 <= slo_ns => {
                                 recovered
                                     .store(disarmed.elapsed().as_nanos() as u64, Ordering::SeqCst);
@@ -441,8 +441,8 @@ pub fn run(
                 EndpointReport {
                     name: ep.name,
                     executed: count,
-                    p50_ns: crate::stats::quantile_ns(&hist, 0.50).unwrap_or(0),
-                    p99_ns: crate::stats::quantile_ns(&hist, 0.99).unwrap_or(0),
+                    p50_ns: quantile_ns(&hist, 0.50).unwrap_or(0),
+                    p99_ns: quantile_ns(&hist, 0.99).unwrap_or(0),
                 }
             })
             .collect();

@@ -1,129 +1,83 @@
 //! Service-layer telemetry: lifecycle counters and per-endpoint windowed
 //! log₂ latency histograms.
 //!
-//! The histogram mirrors the bucket convention of
-//! [`rinval::ServerStats::commit_latency`] (bucket `i` counts observations
-//! in `[2^i, 2^(i+1))` ns, quantiles report the bucket's upper edge) but
-//! adds a *rotating window*: every `window` observations the current
-//! buckets are drained and their p50/p99 cached, so the admission gate
-//! reads a recent signal with one relaxed load instead of walking 32
-//! buckets per request. A cached breach goes *stale* after a TTL — once
-//! shedding stops the flow of fresh write latencies, the stale signal must
-//! not shed forever, so probe writes are re-admitted to re-measure
-//! (DESIGN.md §17).
+//! Both come from the engine's telemetry: the counters are one
+//! [`rinval::counter_table!`] table, and the histogram *is*
+//! [`rinval::stats::Log2Hist`] (bucket `i` counts observations in
+//! `[2^i, 2^(i+1))` ns; [`rinval::stats::quantile_ns`] reports a bucket's
+//! upper edge). [`WindowHist`] adds only a *rotating window*: every
+//! `window` observations the current buckets are drained and their
+//! p50/p99 cached, so the admission gate reads a recent signal with one
+//! relaxed load instead of walking 32 buckets per request. A cached breach
+//! goes *stale* after a TTL — once shedding stops the flow of fresh write
+//! latencies, the stale signal must not shed forever, so probe writes are
+//! re-admitted to re-measure (DESIGN.md §17).
 
+use rinval::stats::{quantile_ns, Log2Hist};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-/// Adds to a relaxed counter (all svc counters are statistics, never
-/// synchronization).
-#[inline]
-pub(crate) fn bump(c: &AtomicU64) {
-    c.fetch_add(1, Ordering::Relaxed);
-}
+rinval::counter_table! {
+    /// Lifecycle counters for one service instance. Field order follows a
+    /// request's path: admission, execution, reply.
+    pub(crate) struct Counters;
 
-/// Lifecycle counters for one service instance. Field order follows a
-/// request's path: admission, execution, reply.
-#[derive(Default)]
-pub(crate) struct Counters {
-    pub accepted: AtomicU64,
-    pub rejected_full: AtomicU64,
-    pub enqueue_faults: AtomicU64,
-    pub enqueue_drops: AtomicU64,
-    pub shed_writes: AtomicU64,
-    pub expired_on_dequeue: AtomicU64,
-    pub executed_writes: AtomicU64,
-    pub executed_reads: AtomicU64,
-    pub dedup_hits: AtomicU64,
-    pub stale_duplicates: AtomicU64,
-    pub exec_timeouts: AtomicU64,
-    pub client_timeouts: AtomicU64,
-    pub late_replies: AtomicU64,
-    pub dropped_replies: AtomicU64,
-    pub worker_deaths: AtomicU64,
-    pub worker_respawns: AtomicU64,
-    pub shutdown_replies: AtomicU64,
-}
+    /// Point-in-time snapshot of the service lifecycle counters
+    /// ([`crate::Frontend::stats`]).
+    pub struct SvcStats;
 
-impl Counters {
-    pub(crate) fn snapshot(&self) -> SvcStats {
-        SvcStats {
-            accepted: self.accepted.load(Ordering::Relaxed),
-            rejected_full: self.rejected_full.load(Ordering::Relaxed),
-            enqueue_faults: self.enqueue_faults.load(Ordering::Relaxed),
-            enqueue_drops: self.enqueue_drops.load(Ordering::Relaxed),
-            shed_writes: self.shed_writes.load(Ordering::Relaxed),
-            expired_on_dequeue: self.expired_on_dequeue.load(Ordering::Relaxed),
-            executed_writes: self.executed_writes.load(Ordering::Relaxed),
-            executed_reads: self.executed_reads.load(Ordering::Relaxed),
-            dedup_hits: self.dedup_hits.load(Ordering::Relaxed),
-            stale_duplicates: self.stale_duplicates.load(Ordering::Relaxed),
-            exec_timeouts: self.exec_timeouts.load(Ordering::Relaxed),
-            client_timeouts: self.client_timeouts.load(Ordering::Relaxed),
-            late_replies: self.late_replies.load(Ordering::Relaxed),
-            dropped_replies: self.dropped_replies.load(Ordering::Relaxed),
-            worker_deaths: self.worker_deaths.load(Ordering::Relaxed),
-            worker_respawns: self.worker_respawns.load(Ordering::Relaxed),
-            shutdown_replies: self.shutdown_replies.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Point-in-time snapshot of the service lifecycle counters
-/// ([`crate::Frontend::stats`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SvcStats {
     /// Requests admitted into a mailbox.
-    pub accepted: u64,
+    sum accepted;
     /// Requests rejected at the door because the target mailbox was full.
-    pub rejected_full: u64,
+    sum rejected_full;
     /// Requests rejected by an armed `svc.enqueue` `fail` failpoint.
-    pub enqueue_faults: u64,
+    sum enqueue_faults;
     /// Requests accepted-then-lost by an armed `svc.enqueue` `exit`
     /// failpoint (the client observes a timeout).
-    pub enqueue_drops: u64,
+    sum enqueue_drops;
     /// Write requests shed by the admission gate (SLO breach or
     /// backpressure) — answered `RetryAfter` without entering the STM.
-    pub shed_writes: u64,
+    sum shed_writes;
     /// Requests whose deadline had already passed at dequeue — answered
     /// `Timeout` without entering the STM.
-    pub expired_on_dequeue: u64,
+    sum expired_on_dequeue;
     /// Write requests that ran a transaction (fresh applies + dedup hits).
-    pub executed_writes: u64,
+    sum executed_writes;
     /// Read requests served (always via `run_ro`).
-    pub executed_reads: u64,
+    sum executed_reads;
     /// Retried idempotency keys answered from the dedup window instead of
     /// re-applying — the exactly-once mechanism firing.
-    pub dedup_hits: u64,
+    sum dedup_hits;
     /// Duplicates older than the whole dedup window (answered with
     /// [`crate::STALE_DUPLICATE`]).
-    pub stale_duplicates: u64,
+    sum stale_duplicates;
     /// Write transactions that hit their deadline inside
     /// `try_run_for` (answered `Timeout`).
-    pub exec_timeouts: u64,
+    sum exec_timeouts;
     /// Client-side waits that hit the deadline before any reply.
-    pub client_timeouts: u64,
+    sum client_timeouts;
     /// Worker replies delivered after the client abandoned the slot
     /// (value dropped; the committed effect is recoverable via retry).
-    pub late_replies: u64,
+    sum late_replies;
     /// Replies deliberately dropped by an armed `svc.reply.pre` `exit`
     /// failpoint.
-    pub dropped_replies: u64,
+    sum dropped_replies;
     /// Worker threads that died (panic or injected exit).
-    pub worker_deaths: u64,
+    sum worker_deaths;
     /// Workers respawned by the supervisor.
-    pub worker_respawns: u64,
+    sum worker_respawns;
     /// Envelopes answered `Shutdown` while draining at service stop.
-    pub shutdown_replies: u64,
+    sum shutdown_replies;
 }
 
-/// log₂ latency histogram with a rotating window and cached quantiles.
+/// Two [`Log2Hist`]s — the current window and the lifetime — plus the
+/// window's cached quantiles.
 pub(crate) struct WindowHist {
     window: u64,
-    cur: [AtomicU64; 32],
+    cur: Log2Hist,
     cur_count: AtomicU64,
-    life: [AtomicU64; 32],
+    life: Log2Hist,
     life_count: AtomicU64,
     cached_p50_ns: AtomicU64,
     cached_p99_ns: AtomicU64,
@@ -132,32 +86,13 @@ pub(crate) struct WindowHist {
     rotating: Mutex<()>,
 }
 
-/// Quantile over a drained bucket array: the upper edge of the bucket
-/// containing rank `ceil(q·total)` (same convention as
-/// [`rinval::ServerStats::latency_quantile_ns`]).
-pub(crate) fn quantile_ns(buckets: &[u64; 32], q: f64) -> Option<u64> {
-    let total: u64 = buckets.iter().sum();
-    if total == 0 {
-        return None;
-    }
-    let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-    let mut seen = 0u64;
-    for (i, &n) in buckets.iter().enumerate() {
-        seen += n;
-        if seen >= rank {
-            return Some(1u64 << (i as u32 + 1).min(63));
-        }
-    }
-    None
-}
-
 impl WindowHist {
     pub(crate) fn new(window: u64) -> WindowHist {
         WindowHist {
             window: window.max(1),
-            cur: std::array::from_fn(|_| AtomicU64::new(0)),
+            cur: Log2Hist::default(),
             cur_count: AtomicU64::new(0),
-            life: std::array::from_fn(|_| AtomicU64::new(0)),
+            life: Log2Hist::default(),
             life_count: AtomicU64::new(0),
             cached_p50_ns: AtomicU64::new(0),
             cached_p99_ns: AtomicU64::new(0),
@@ -170,9 +105,8 @@ impl WindowHist {
     /// service start (used to timestamp a rotation).
     pub(crate) fn record(&self, lat: Duration, now_ns: u64) {
         let ns = lat.as_nanos() as u64;
-        let bucket = (ns.max(1).ilog2() as usize).min(31);
-        self.cur[bucket].fetch_add(1, Ordering::Relaxed);
-        self.life[bucket].fetch_add(1, Ordering::Relaxed);
+        self.cur.record(ns);
+        self.life.record(ns);
         self.life_count.fetch_add(1, Ordering::Relaxed);
         if self.cur_count.fetch_add(1, Ordering::Relaxed) + 1 >= self.window {
             self.rotate(now_ns);
@@ -186,7 +120,7 @@ impl WindowHist {
         let Ok(_g) = self.rotating.try_lock() else {
             return;
         };
-        let drained: [u64; 32] = std::array::from_fn(|i| self.cur[i].swap(0, Ordering::Relaxed));
+        let drained = self.cur.drain();
         self.cur_count.store(0, Ordering::Relaxed);
         if let Some(p50) = quantile_ns(&drained, 0.50) {
             self.cached_p50_ns.store(p50, Ordering::Relaxed);
@@ -210,7 +144,7 @@ impl WindowHist {
 
     /// Lifetime bucket snapshot (for reports and recovery monitoring).
     pub(crate) fn lifetime(&self) -> [u64; 32] {
-        std::array::from_fn(|i| self.life[i].load(Ordering::Relaxed))
+        self.life.snapshot()
     }
 
     /// Total observations ever recorded.
@@ -230,6 +164,26 @@ impl WindowHist {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn counter_table_snapshots_and_diffs_every_entry() {
+        let c = Counters::default();
+        // A distinct amount per entry, so two crossed entries would show.
+        for (i, &(name, kind)) in Counters::ENTRIES.iter().enumerate() {
+            assert_eq!(kind, "sum", "{name}");
+            c.bump_entry(name, 10 + i as u64);
+        }
+        let s = c.snapshot();
+        for (i, &(name, _)) in Counters::ENTRIES.iter().enumerate() {
+            assert_eq!(s.entry(name), 10 + i as u64, "{name}: snapshot");
+            c.bump_entry(name, 100 + i as u64);
+        }
+        let d = c.snapshot().since(&s);
+        for (i, &(name, _)) in Counters::ENTRIES.iter().enumerate() {
+            assert_eq!(d.entry(name), 100 + i as u64, "{name}: since");
+        }
+        assert_eq!(Counters::ENTRIES.len(), 17);
+    }
 
     #[test]
     fn window_rotation_caches_quantiles() {
@@ -256,16 +210,5 @@ mod tests {
         assert!(!h.breached(slo, 2_000, 500));
         // A generous SLO is never breached.
         assert!(!h.breached(u64::MAX, 1_000, 500));
-    }
-
-    #[test]
-    fn quantile_matches_engine_convention() {
-        let mut b = [0u64; 32];
-        b[0] = 2;
-        b[9] = 1;
-        b[31] = 1;
-        assert_eq!(quantile_ns(&b, 0.5), Some(2));
-        assert_eq!(quantile_ns(&b, 0.99), Some(1u64 << 32));
-        assert_eq!(quantile_ns(&[0; 32], 0.5), None);
     }
 }
