@@ -10,12 +10,22 @@
 //! operation — a perf harness that miscounts is not a perf harness.
 //!
 //! `--test` shrinks the run for the CI bench-smoke job, which greps the
-//! per-endpoint line to keep this surface wired.
+//! per-endpoint line to keep this surface wired. In that mode the run also
+//! fails if the `rinval-v3` transfer p50 exceeds [`V3_TRANSFER_P50_MAX_NS`]:
+//! a remote commit that hands off in microseconds keeps it near 16–32 µs on
+//! a 2-core host, while a `Backoff` that spins tens of microseconds before
+//! yielding (the server and the waiting worker share a core) pushes it to
+//! ~0.5 ms.
 
 use rinval::{AlgorithmKind, Stm};
 use std::time::Duration;
 use svc::loadgen::{self, LoadConfig};
 use svc::{bank, SvcConfig};
+
+/// `--test` gate on the `rinval-v3` transfer p50 (upper log₂ bucket
+/// edge, ns): 4× above the slowest p50 seen with the short spin ramp and
+/// 4× below the 524 288 ns the 3 839-`PAUSE` ramp gave.
+const V3_TRANSFER_P50_MAX_NS: u64 = 131_072;
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--test");
@@ -67,6 +77,25 @@ fn main() {
         if !report.ledger_ok() || service.verify(&stm).is_err() {
             eprintln!("svc_latency: ledger/conservation FAILED on {}", algo.name());
             failed = true;
+        }
+        if quick && matches!(algo, AlgorithmKind::RInvalV3 { .. }) {
+            let p50 = report
+                .endpoints
+                .iter()
+                .find(|ep| ep.name == "transfer")
+                .map_or(0, |ep| ep.p50_ns);
+            let ok = p50 > 0 && p50 <= V3_TRANSFER_P50_MAX_NS;
+            println!(
+                "guard rinval-v3 transfer p50={p50}ns max={V3_TRANSFER_P50_MAX_NS}ns {}",
+                if ok { "OK" } else { "FAILED" }
+            );
+            if !ok {
+                eprintln!(
+                    "svc_latency: rinval-v3 transfer p50 {p50}ns exceeds \
+                     {V3_TRANSFER_P50_MAX_NS}ns (remote commit hand-off too slow)"
+                );
+                failed = true;
+            }
         }
     }
     if failed {

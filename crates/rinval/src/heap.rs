@@ -839,7 +839,12 @@ impl Heap {
     /// per word), so the largest stable stamp ≤ `snap` *is* the word's
     /// value at `snap`. An entry mid-overwrite is by construction the
     /// oldest, so it can only matter when no stable candidate exists — and
-    /// then the conservative answer is [`SnapshotRead::Miss`].
+    /// then the conservative answer is [`SnapshotRead::Miss`]. The scan is
+    /// not atomic, though: an entry read early may be the oldest by the
+    /// time a later entry holding the true version is overwritten. Since
+    /// eviction is oldest-first, that overwrite is preceded by the
+    /// candidate's own, so the scan re-checks the candidate's stamp at the
+    /// end and reports a miss if it moved.
     ///
     /// A fully empty ring means the word was never written by a versioned
     /// commit: the main value has been constant since the word became
@@ -859,9 +864,10 @@ impl Heap {
         };
         let mut best: Option<u64> = None;
         let mut best_ts = 0u64;
+        let mut best_idx = 0;
         let mut nonempty = false;
         let mut newer = false;
-        for e in ring {
+        for (i, e) in ring.iter().enumerate() {
             let t1 = e.ts.load(Ordering::SeqCst);
             if t1 == VERSION_EMPTY {
                 continue;
@@ -885,7 +891,15 @@ impl Heap {
             if t1 >= best_ts {
                 best_ts = t1;
                 best = Some(v);
+                best_idx = i;
             }
+        }
+        if best.is_some() && ring[best_idx].ts.load(Ordering::SeqCst) != best_ts {
+            // The candidate was overwritten during the scan. Appends evict
+            // the oldest entry first, so every entry newer than it may have
+            // been overwritten too — including the true version at `snap`,
+            // read as "newer" further along. Let the caller revalidate.
+            return SnapshotRead::Miss;
         }
         match best {
             Some(v) if newer => SnapshotRead::Old(v),
@@ -1494,6 +1508,55 @@ mod tests {
         assert!(heap.store_versioned_checked(h.addr(), 9, 4));
         assert_eq!(heap.load(h), 9);
         assert_eq!(heap.snapshot_read(h, 4), SnapshotRead::Current(9));
+    }
+
+    #[test]
+    fn snapshot_read_never_returns_a_superseded_version() {
+        // Each version's value is its own stamp, so a snapshot at `s` must
+        // read exactly `s` (or miss). A reader that takes an older
+        // candidate early in its ring scan and then finds the true version
+        // overwritten later in the same scan would read less than `s`.
+        // The writer appends until both readers have resolved `reads`
+        // snapshots, so the race window stays open on any core count.
+        let reads: u64 = if cfg!(miri) { 30 } else { 200_000 };
+        let mut heap = Heap::new(64);
+        heap.enable_versions();
+        let h = heap.alloc(1).unwrap();
+        let heap = Arc::new(heap);
+        let released = Arc::new(AtomicU64::new(0));
+        let readers: Vec<_> = (0..2)
+            .map(|r| {
+                let heap = Arc::clone(&heap);
+                let released = Arc::clone(&released);
+                std::thread::spawn(move || {
+                    let (mut k, mut hits) = (r, 0u64);
+                    while hits < reads {
+                        k = k % (VERSION_RING as u64 - 1) + 1;
+                        let top = released.load(Ordering::SeqCst);
+                        let Some(snap) = top.checked_sub(2 * k).filter(|&s| s >= 2) else {
+                            std::thread::yield_now();
+                            continue;
+                        };
+                        match heap.snapshot_read(h, snap) {
+                            SnapshotRead::Current(v) | SnapshotRead::Old(v) => {
+                                assert_eq!(v, snap, "superseded version at snapshot {snap}");
+                                hits += 1;
+                            }
+                            SnapshotRead::Miss => {}
+                        }
+                    }
+                })
+            })
+            .collect();
+        let mut stamp = 0;
+        while !readers.iter().all(|r| r.is_finished()) {
+            stamp += 2;
+            heap.store_versioned(h, stamp, stamp);
+            released.store(stamp, Ordering::SeqCst);
+        }
+        for r in readers {
+            r.join().unwrap();
+        }
     }
 
     #[test]
